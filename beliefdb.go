@@ -56,6 +56,7 @@ import (
 	"beliefdb/internal/shard"
 	"beliefdb/internal/store"
 	"beliefdb/internal/val"
+	"beliefdb/internal/wal"
 )
 
 // Value is a dynamically typed scalar (NULL, INT, FLOAT, TEXT, BOOL).
@@ -376,7 +377,7 @@ type BatchResult = store.BatchResult
 // Methods only record the statements; nothing touches the database until
 // the batch commits.
 type Batch struct {
-	ops   []store.BatchOp
+	ops   []wal.Op
 	token string
 }
 
@@ -392,12 +393,12 @@ func (b *Batch) SetToken(token string) { b.token = token }
 
 // Insert queues an insert of one explicit belief statement.
 func (b *Batch) Insert(path Path, sign Sign, t Tuple) {
-	b.ops = append(b.ops, store.BatchOp{Stmt: Statement{Path: path, Sign: sign, Tuple: t}})
+	b.ops = append(b.ops, wal.Insert(Statement{Path: path, Sign: sign, Tuple: t}))
 }
 
 // Delete queues a retraction of one explicit belief statement.
 func (b *Batch) Delete(path Path, sign Sign, t Tuple) {
-	b.ops = append(b.ops, store.BatchOp{Delete: true, Stmt: Statement{Path: path, Sign: sign, Tuple: t}})
+	b.ops = append(b.ops, wal.Delete(Statement{Path: path, Sign: sign, Tuple: t}))
 }
 
 // Len reports how many statements the batch holds.
@@ -418,7 +419,7 @@ func (b *Batch) CheckShard(seed uint64, shards, self int) error {
 	}
 	m := shard.Map{Count: shards, Seed: seed}
 	for _, op := range b.ops {
-		if op.Delete {
+		if op.Kind != wal.KindInsert {
 			continue
 		}
 		if owner := m.Owner(op.Stmt.Tuple.Rel, op.Stmt.Tuple.Key()); owner != self {
@@ -447,18 +448,24 @@ func (db *DB) Batch(fn func(b *Batch) error) (BatchResult, error) {
 	if err := fn(&b); err != nil {
 		return BatchResult{}, err
 	}
-	return db.st.ApplyBatch(b.ops)
+	return db.apply(b.ops)
+}
+
+// apply commits ops as one untokened group.
+func (db *DB) apply(ops []wal.Op) (BatchResult, error) {
+	o := db.st.Apply([]store.Group{{Ops: ops}})[0]
+	return o.Res, o.Err
 }
 
 // InsertBeliefs inserts a group of explicit belief statements as one atomic
 // batch (see Batch): one lock acquisition, one WAL commit, one propagation
 // pass.
 func (db *DB) InsertBeliefs(stmts []Statement) (BatchResult, error) {
-	ops := make([]store.BatchOp, len(stmts))
+	ops := make([]wal.Op, len(stmts))
 	for i, s := range stmts {
-		ops[i] = store.BatchOp{Stmt: s}
+		ops[i] = wal.Insert(s)
 	}
-	return db.st.ApplyBatch(ops)
+	return db.apply(ops)
 }
 
 // ExecBatch runs a semicolon-separated BeliefSQL script of INSERT and
@@ -525,7 +532,7 @@ func (db *DB) SubmitBatch(ctx context.Context, b *Batch) (BatchResult, error) {
 		// An uncancellable context (the server's per-request default)
 		// needs no watcher goroutine — skip the spawn and channel on the
 		// hot write path.
-		return db.committer().SubmitToken(b.ops, b.token)
+		return db.committer().Submit(store.Group{Ops: b.ops, Token: b.token})
 	}
 	type outcome struct {
 		res BatchResult
@@ -533,7 +540,7 @@ func (db *DB) SubmitBatch(ctx context.Context, b *Batch) (BatchResult, error) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := db.committer().SubmitToken(b.ops, b.token)
+		res, err := db.committer().Submit(store.Group{Ops: b.ops, Token: b.token})
 		done <- outcome{res, err}
 	}()
 	select {

@@ -16,6 +16,7 @@ import (
 	"beliefdb/internal/core"
 	"beliefdb/internal/gen"
 	"beliefdb/internal/store"
+	"beliefdb/internal/wal"
 )
 
 // BatchIngestResult is one measured ingest configuration.
@@ -30,8 +31,8 @@ type BatchIngestResult struct {
 // RunBatchIngest loads the same n-statement generated workload into a fresh
 // durable store once per batch size and measures the per-statement cost and
 // fsync count. Size 1 uses the single-statement insert path (one journaled
-// record and one fsync per call); larger sizes use ApplyBatch's group
-// commit.
+// record and one fsync per call); larger sizes commit each batch as one
+// Apply group.
 func RunBatchIngest(n, m int, seed int64, sizes []int, progress func(string)) ([]BatchIngestResult, error) {
 	cfg := durabilityConfig(m, seed, n)
 	// gen.Statements yields a conflict-free sequence (every statement was
@@ -84,14 +85,14 @@ func ingestOnce(dir string, cfg gen.Config, stmts []core.Statement, size int) (B
 			}
 		}
 	} else {
-		ops := make([]store.BatchOp, 0, size)
+		ops := make([]wal.Op, 0, size)
 		for i := 0; i < len(stmts); i += size {
 			end := min(i+size, len(stmts))
 			ops = ops[:0]
 			for _, s := range stmts[i:end] {
-				ops = append(ops, store.BatchOp{Stmt: s})
+				ops = append(ops, wal.Insert(s))
 			}
-			if _, err := st.ApplyBatch(ops); err != nil {
+			if err := st.Apply([]store.Group{{Ops: ops}})[0].Err; err != nil {
 				return BatchIngestResult{}, err
 			}
 		}

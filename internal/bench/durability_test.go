@@ -8,6 +8,7 @@ import (
 	"beliefdb/internal/gen"
 	"beliefdb/internal/store"
 	"beliefdb/internal/val"
+	"beliefdb/internal/wal"
 )
 
 // coreStatement wraps generated values in a root-world insert.
@@ -154,18 +155,18 @@ func benchmarkInsertBatch(b *testing.B, size int) {
 			}
 		}
 	} else {
-		ops := make([]store.BatchOp, 0, size)
+		ops := make([]wal.Op, 0, size)
 		for i := 0; i < b.N; i++ {
-			ops = append(ops, store.BatchOp{Stmt: stmt(i)})
+			ops = append(ops, wal.Insert(stmt(i)))
 			if len(ops) == size {
-				if _, err := st.ApplyBatch(ops); err != nil {
+				if err := st.Apply([]store.Group{{Ops: ops}})[0].Err; err != nil {
 					b.Fatal(err)
 				}
 				ops = ops[:0]
 			}
 		}
 		if len(ops) > 0 {
-			if _, err := st.ApplyBatch(ops); err != nil {
+			if err := st.Apply([]store.Group{{Ops: ops}})[0].Err; err != nil {
 				b.Fatal(err)
 			}
 		}

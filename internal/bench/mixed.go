@@ -20,6 +20,7 @@ import (
 	"beliefdb/internal/gen"
 	"beliefdb/internal/store"
 	"beliefdb/internal/val"
+	"beliefdb/internal/wal"
 )
 
 // MixedRow is one measured reader-count configuration.
@@ -64,8 +65,8 @@ func RunMixedReadUnderWrite(n, m int, seed int64, readerCounts []int, progress f
 
 	cols := gen.RelColumns()
 	nextKey := 0
-	makeBatch := func() []store.BatchOp {
-		ops := make([]store.BatchOp, 16)
+	makeBatch := func() []wal.Op {
+		ops := make([]wal.Op, 16)
 		for i := range ops {
 			vals := make([]val.Value, len(cols))
 			vals[0] = val.Str(fmt.Sprintf("mixed%d", nextKey))
@@ -73,10 +74,10 @@ func RunMixedReadUnderWrite(n, m int, seed int64, readerCounts []int, progress f
 			for j := 1; j < len(cols); j++ {
 				vals[j] = val.Str("x")
 			}
-			ops[i] = store.BatchOp{Stmt: core.Statement{
+			ops[i] = wal.Insert(core.Statement{
 				Sign:  core.Pos,
 				Tuple: core.Tuple{Rel: gen.DefaultRel, Vals: vals},
-			}}
+			})
 		}
 		return ops
 	}
@@ -99,7 +100,7 @@ func RunMixedReadUnderWrite(n, m int, seed int64, readerCounts []int, progress f
 				}
 				ops := makeBatch()
 				start := time.Now()
-				if _, err := st.ApplyBatch(ops); err != nil {
+				if err := st.Apply([]store.Group{{Ops: ops}})[0].Err; err != nil {
 					writerErr = err
 					return
 				}

@@ -8,6 +8,7 @@ import (
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/store"
 	"beliefdb/internal/val"
+	"beliefdb/internal/wal"
 )
 
 // Exec parses and executes one BeliefSQL statement: SELECTs are translated
@@ -72,7 +73,13 @@ func (tr *Translator) ExecBatch(src string) (store.BatchResult, error) {
 	if err != nil {
 		return store.BatchResult{}, err
 	}
-	return tr.st.ApplyBatch(ops)
+	return tr.apply(ops)
+}
+
+// apply commits ops as one untokened group.
+func (tr *Translator) apply(ops []wal.Op) (store.BatchResult, error) {
+	o := tr.st.Apply([]store.Group{{Ops: ops}})[0]
+	return o.Res, o.Err
 }
 
 // CompileBatch resolves a batch script into store operations without
@@ -80,7 +87,7 @@ func (tr *Translator) ExecBatch(src string) (store.BatchResult, error) {
 // the compiled batch through a different commit path — the network server
 // compiles each client's script outside the writer lock and submits the
 // operations to its group-commit coalescer.
-func (tr *Translator) CompileBatch(src string) ([]store.BatchOp, error) {
+func (tr *Translator) CompileBatch(src string) ([]wal.Op, error) {
 	stmts, err := ParseAll(src)
 	if err != nil {
 		return nil, err
@@ -88,7 +95,7 @@ func (tr *Translator) CompileBatch(src string) ([]store.BatchOp, error) {
 	if len(stmts) == 0 {
 		return nil, fmt.Errorf("bsql: empty batch")
 	}
-	var ops []store.BatchOp
+	var ops []wal.Op
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case Insert:
@@ -103,7 +110,7 @@ func (tr *Translator) CompileBatch(src string) ([]store.BatchOp, error) {
 				return nil, err
 			}
 			for _, t := range targets {
-				ops = append(ops, store.BatchOp{Delete: true, Stmt: t})
+				ops = append(ops, wal.Delete(t))
 			}
 		default:
 			return nil, fmt.Errorf("bsql: a batch supports INSERT and DELETE only, got %T", s)
@@ -187,7 +194,7 @@ func constValue(e sqlparser.Expr) (val.Value, error) {
 // insertOps resolves one INSERT statement into batch operations (the VALUES
 // rows are constants, so resolution needs no store state beyond the user
 // and relation catalogs).
-func (tr *Translator) insertOps(ins Insert) ([]store.BatchOp, error) {
+func (tr *Translator) insertOps(ins Insert) ([]wal.Op, error) {
 	p, sign, err := tr.targetPathSign(ins.Target)
 	if err != nil {
 		return nil, err
@@ -196,7 +203,7 @@ func (tr *Translator) insertOps(ins Insert) ([]store.BatchOp, error) {
 	if !ok {
 		return nil, fmt.Errorf("bsql: unknown belief relation %q", ins.Target.Table)
 	}
-	ops := make([]store.BatchOp, 0, len(ins.Rows))
+	ops := make([]wal.Op, 0, len(ins.Rows))
 	for _, row := range ins.Rows {
 		if len(row) != len(rel.Columns) {
 			return nil, fmt.Errorf("bsql: %d values for %d columns of %s", len(row), len(rel.Columns), rel.Name)
@@ -209,9 +216,9 @@ func (tr *Translator) insertOps(ins Insert) ([]store.BatchOp, error) {
 			}
 			vals[i] = v
 		}
-		ops = append(ops, store.BatchOp{Stmt: core.Statement{
+		ops = append(ops, wal.Insert(core.Statement{
 			Path: p, Sign: sign, Tuple: core.Tuple{Rel: rel.Name, Vals: vals},
-		}})
+		}))
 	}
 	return ops, nil
 }
@@ -221,32 +228,19 @@ func (tr *Translator) execInsert(ins Insert) (*query.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A multi-row VALUES list commits as one batch: atomic, one fsync.
-	if len(ops) > 1 {
-		br, err := tr.st.ApplyBatch(ops)
-		if err != nil {
-			return nil, err
-		}
-		return &query.Result{Affected: br.Changed}, nil
+	// The VALUES rows commit as one group: atomic, one fsync.
+	br, err := tr.apply(ops)
+	if err != nil {
+		return nil, err
 	}
-	affected := 0
-	for _, op := range ops {
-		changed, err := tr.st.Insert(op.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			affected++
-		}
-	}
-	return &query.Result{Affected: affected}, nil
+	return &query.Result{Affected: br.Changed}, nil
 }
 
 // execInsertRun applies a run of consecutive INSERT statements as one store
 // batch. The returned Affected count covers the last statement of the run,
 // matching what sequential execution would have reported.
 func (tr *Translator) execInsertRun(inss []Statement) (*query.Result, error) {
-	var ops []store.BatchOp
+	var ops []wal.Op
 	lastN := 0
 	for _, s := range inss {
 		stmtOps, err := tr.insertOps(s.(Insert))
@@ -256,7 +250,7 @@ func (tr *Translator) execInsertRun(inss []Statement) (*query.Result, error) {
 		ops = append(ops, stmtOps...)
 		lastN = len(stmtOps)
 	}
-	br, err := tr.st.ApplyBatch(ops)
+	br, err := tr.apply(ops)
 	if err != nil {
 		return nil, err
 	}

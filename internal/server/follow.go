@@ -212,14 +212,11 @@ type Follower struct {
 	resyncs   atomic.Uint64
 
 	// Batch-group reassembly across stream frames: a group's marker and
-	// members are applied as one atomic batch, so members buffered here
+	// members are replayed as one atomic unit, so records buffered here
 	// advance the stream position but not the applied cursor until the
 	// group completes.
-	pending     []wal.Op
-	pendingTok  string
-	pendingNeed int
-	pendingRecs uint64
-	streamPos   uint64 // next record index expected off the stream
+	pending   []wal.Op
+	streamPos uint64 // next record index expected off the stream
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -349,7 +346,7 @@ func (f *Follower) followOnce() error {
 	f.mu.Lock()
 	epoch, pos := f.epoch, f.pos
 	f.mu.Unlock()
-	f.resetPending()
+	f.pending = f.pending[:0]
 	f.streamPos = pos
 	if err := w.Write(wire.FollowWAL(epoch, pos)); err != nil {
 		return err
@@ -430,49 +427,25 @@ func (f *Follower) handleRecs(msg wire.Msg) error {
 	return f.saveCursor()
 }
 
-// applyRecord feeds one WAL record payload to the applier, assembling
-// batch groups across frame boundaries. The applied cursor advances only
-// on whole units — a single record, or a complete marker+members group —
-// so a crash mid-group re-requests the group from its marker.
+// applyRecord feeds one WAL record payload to the store's Replay,
+// assembling batch groups across frame boundaries. The applied cursor
+// advances only on whole units — a single record, or a complete
+// marker+members group — so a crash mid-group re-requests the group from
+// its marker.
 func (f *Follower) applyRecord(payload []byte) error {
 	op, err := wal.DecodeOp(payload)
 	if err != nil {
 		return err
 	}
-	st := f.srv.DB().Store()
-	if f.pendingNeed > 0 {
-		f.pending = append(f.pending, op)
-		f.pendingRecs++
-		if len(f.pending) == f.pendingNeed {
-			if err := st.ApplyReplicatedGroup(f.pending, f.pendingTok); err != nil {
-				return err
-			}
-			f.advance(f.pendingRecs)
-			f.resetPending()
-		}
-		return nil
+	f.pending = append(f.pending, op)
+	if m := f.pending[0]; m.Kind == wal.KindBatchBegin && uint64(len(f.pending)) <= m.Count {
+		return nil // the group's members are still arriving
 	}
-	switch {
-	case op.Kind == wal.KindBatchBegin && op.Count > 0:
-		f.pendingNeed = int(op.Count)
-		f.pendingTok = op.Token
-		f.pendingRecs = 1
-		f.pending = f.pending[:0]
-	case op.Kind == wal.KindBatchBegin: // empty group: nothing to apply
-		f.advance(1)
-	case op.Kind == wal.KindSchema:
-		// The primary's schema identity record; the replica was opened
-		// with the same schema, so validation is all that is needed.
-		if err := st.ApplyReplicated(op); err != nil {
-			return err
-		}
-		f.advance(1)
-	default:
-		if err := st.ApplyReplicated(op); err != nil {
-			return err
-		}
-		f.advance(1)
+	if err := f.srv.DB().Store().Replay(f.pending); err != nil {
+		return err
 	}
+	f.advance(uint64(len(f.pending)))
+	f.pending = f.pending[:0]
 	return nil
 }
 
@@ -480,13 +453,6 @@ func (f *Follower) advance(n uint64) {
 	f.mu.Lock()
 	f.pos += n
 	f.mu.Unlock()
-}
-
-func (f *Follower) resetPending() {
-	f.pending = f.pending[:0]
-	f.pendingTok = ""
-	f.pendingNeed = 0
-	f.pendingRecs = 0
 }
 
 // handleSnapshot consumes one streamed snapshot and re-seeds the replica
@@ -545,7 +511,7 @@ func (f *Follower) handleSnapshot(r *wire.Reader, begin wire.Msg) error {
 	f.epoch, f.pos = m.WalEpoch, m.WalApplied
 	f.mu.Unlock()
 	f.streamPos = m.WalApplied
-	f.resetPending()
+	f.pending = f.pending[:0]
 	if err := f.saveCursor(); err != nil {
 		return err
 	}

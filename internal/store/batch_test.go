@@ -32,19 +32,43 @@ func insStep(p core.Path, sg core.Sign, rel, k, a string) batchStep {
 	}}
 }
 
-func batchStepOf(name string, ops ...BatchOp) batchStep {
+func batchStepOf(name string, ops ...wal.Op) batchStep {
 	return batchStep{name, func(st *Store) error {
-		_, err := st.ApplyBatch(ops)
+		_, err := applyOps(st, ops)
 		return err
 	}}
 }
 
-func bIns(p core.Path, sg core.Sign, rel, k, a string) BatchOp {
-	return BatchOp{Stmt: crashStmt(p, sg, rel, k, a)}
+func bIns(p core.Path, sg core.Sign, rel, k, a string) wal.Op {
+	return wal.Insert(crashStmt(p, sg, rel, k, a))
 }
 
-func bDel(p core.Path, sg core.Sign, rel, k, a string) BatchOp {
-	return BatchOp{Delete: true, Stmt: crashStmt(p, sg, rel, k, a)}
+func bDel(p core.Path, sg core.Sign, rel, k, a string) wal.Op {
+	return wal.Delete(crashStmt(p, sg, rel, k, a))
+}
+
+// applyOps commits ops through Apply as one untokened group.
+func applyOps(st *Store, ops []wal.Op) (BatchResult, error) {
+	return applyOpsToken(st, ops, "")
+}
+
+// applyOpsToken commits ops through Apply as one group carrying token.
+func applyOpsToken(st *Store, ops []wal.Op, token string) (BatchResult, error) {
+	o := st.Apply([]Group{{Ops: ops, Token: token}})[0]
+	return o.Res, o.Err
+}
+
+// applyRound commits several groups through one Apply round; tokens are
+// absent or parallel to groups.
+func applyRound(st *Store, groups [][]wal.Op, tokens ...string) []Outcome {
+	gs := make([]Group, len(groups))
+	for i, ops := range groups {
+		gs[i].Ops = ops
+		if len(tokens) > 0 {
+			gs[i].Token = tokens[i]
+		}
+	}
+	return st.Apply(gs)
 }
 
 // batchScript mixes single-statement mutations with batches that insert,
@@ -96,7 +120,7 @@ func buildBatchShadow(t *testing.T, n int) *Store {
 }
 
 // TestApplyBatchMatchesSingles: the deferred, deduplicated reconciliation
-// of ApplyBatch must be observably identical to applying the same
+// of a multi-statement Apply group must be observably identical to applying the same
 // statements one at a time — on a generated workload (chunked at several
 // sizes) and on the hand-written script with mid-batch deletes and world
 // creation.
@@ -130,11 +154,11 @@ func TestApplyBatchMatchesSingles(t *testing.T) {
 		}
 		for i := 0; i < len(stmts); i += size {
 			end := min(i+size, len(stmts))
-			ops := make([]BatchOp, 0, end-i)
+			ops := make([]wal.Op, 0, end-i)
 			for _, s := range stmts[i:end] {
-				ops = append(ops, BatchOp{Stmt: s})
+				ops = append(ops, wal.Insert(s))
 			}
-			res, err := batched.ApplyBatch(ops)
+			res, err := applyOps(batched, ops)
 			if err != nil {
 				t.Fatalf("size %d: %v", size, err)
 			}
@@ -155,9 +179,9 @@ func TestApplyBatchMatchesSingles(t *testing.T) {
 	}
 	singles.AddUser("u1")
 	singles.AddUser("u2")
-	apply := func(ops ...BatchOp) {
+	apply := func(ops ...wal.Op) {
 		for _, op := range ops {
-			if op.Delete {
+			if op.Kind == wal.KindDelete {
 				singles.Delete(op.Stmt)
 			} else {
 				if _, err := singles.Insert(op.Stmt); err != nil {
@@ -212,7 +236,7 @@ func TestBatchConflictRollsBackWhole(t *testing.T) {
 	}
 
 	before := st.Stats()
-	_, err = st.ApplyBatch([]BatchOp{
+	_, err = applyOps(st, []wal.Op{
 		bIns(nil, core.Pos, "S", "k9", "first"),
 		bIns(core.Path{2, 1}, core.Pos, "C", "c9", "creates two worlds"),
 		bIns(core.Path{1}, core.Neg, "S", "k1", "crow"), // Γ2: explicit positive exists
@@ -231,8 +255,8 @@ func TestBatchConflictRollsBackWhole(t *testing.T) {
 	}
 
 	// The batch is journaled; replay must reach the identical rollback.
-	moreOps := []BatchOp{bIns(nil, core.Pos, "S", "k11", "post-conflict")}
-	if _, err := st.ApplyBatch(moreOps); err != nil {
+	moreOps := []wal.Op{bIns(nil, core.Pos, "S", "k11", "post-conflict")}
+	if _, err := applyOps(st, moreOps); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -262,20 +286,20 @@ func TestBatchValidationRejectsWhole(t *testing.T) {
 	}
 	st.AddUser("u1")
 	before := st.Stats()
-	cases := [][]BatchOp{
+	cases := [][]wal.Op{
 		{bIns(nil, core.Pos, "S", "ok", "x"), bIns(nil, core.Pos, "Nope", "k", "x")},
 		{bIns(nil, core.Pos, "S", "ok", "x"), bIns(core.Path{9}, core.Pos, "S", "k", "x")},
 		{bIns(nil, core.Pos, "S", "ok", "x"), bIns(core.Path{1, 1}, core.Pos, "S", "k", "x")},
 	}
 	for i, ops := range cases {
-		if _, err := st.ApplyBatch(ops); err == nil {
+		if _, err := applyOps(st, ops); err == nil {
 			t.Errorf("case %d: invalid batch accepted", i)
 		}
 	}
 	if after := st.Stats(); before.String() != after.String() {
 		t.Errorf("rejected batches changed state:\nbefore %safter  %s", before, after)
 	}
-	if res, err := st.ApplyBatch(nil); err != nil || res.Applied != 0 {
+	if res, err := applyOps(st, nil); err != nil || res.Applied != 0 {
 		t.Errorf("empty batch: %+v, %v", res, err)
 	}
 }
@@ -330,7 +354,7 @@ func TestBatchCrashInjectionSweep(t *testing.T) {
 		}
 		assertSameStore(t, fmt.Sprintf("limit %d (%d steps committed)", limit, wantN), shadow, re)
 		// The recovered store accepts new batches on its clean tail.
-		if _, err := re.ApplyBatch([]BatchOp{bIns(nil, core.Pos, "C", "post", "crash")}); err != nil {
+		if _, err := applyOps(re, []wal.Op{bIns(nil, core.Pos, "C", "post", "crash")}); err != nil {
 			t.Fatalf("limit %d: batch after recovery: %v", limit, err)
 		}
 		re.Close()
@@ -398,8 +422,8 @@ func TestBeginFailureNotJournaled(t *testing.T) {
 		core.Tuple{Rel: "S", Vals: []val.Value{val.Str("k1"), val.Str("renamed")}}); err == nil {
 		t.Fatal("Replace inside a foreign transaction should fail")
 	}
-	if _, err := st.ApplyBatch([]BatchOp{bIns(nil, core.Pos, "S", "k3", "batch must fail")}); err == nil {
-		t.Fatal("ApplyBatch inside a foreign transaction should fail")
+	if _, err := applyOps(st, []wal.Op{bIns(nil, core.Pos, "S", "k3", "batch must fail")}); err == nil {
+		t.Fatal("a multi-statement group inside a foreign transaction should fail")
 	}
 	if _, err := st.DB().Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
@@ -450,7 +474,7 @@ func TestConflictRollbackRewindsWorlds(t *testing.T) {
 	}
 	// Now a conflict inside a batch that first creates a brand-new world.
 	before = st.Stats()
-	_, err = st.ApplyBatch([]BatchOp{
+	_, err = applyOps(st, []wal.Op{
 		bIns(core.Path{2, 1}, core.Pos, "C", "c1", "new worlds"),
 		bIns(core.Path{1}, core.Neg, "S", "k2", "crow"),
 	})
@@ -481,17 +505,17 @@ func TestBatchLazyStore(t *testing.T) {
 		st.AddUser("u1")
 		st.AddUser("u2")
 	}
-	ops := []BatchOp{
+	ops := []wal.Op{
 		bIns(nil, core.Pos, "S", "k1", "bald eagle"),
 		bIns(core.Path{1}, core.Neg, "S", "k1", "bald eagle"),
 		bIns(core.Path{2, 1}, core.Pos, "C", "c1", "feathers"),
 		bDel(nil, core.Pos, "S", "k1", "bald eagle"),
 	}
-	if _, err := lazyB.ApplyBatch(ops); err != nil {
+	if _, err := applyOps(lazyB, ops); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range ops {
-		if op.Delete {
+		if op.Kind == wal.KindDelete {
 			if _, err := lazyS.Delete(op.Stmt); err != nil {
 				t.Fatal(err)
 			}

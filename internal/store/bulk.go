@@ -1,6 +1,9 @@
 package store
 
-import "beliefdb/internal/core"
+import (
+	"beliefdb/internal/core"
+	"beliefdb/internal/wal"
+)
 
 // BulkLoad applies many insert statements under a single writer-lock hold
 // and publishes a single snapshot when the load completes. fn receives an
@@ -10,12 +13,13 @@ import "beliefdb/internal/core"
 // acceptance (such as gen.Load) plug in unchanged.
 //
 // The point of BulkLoad is amortization, not atomicity. Every statement is
-// journaled and committed individually, exactly as Insert would (crash
-// recovery replays the applied prefix), but the per-statement snapshot
-// publication — and with it the copy-on-write epoch turnover that makes
-// publication O(delta) — is deferred to the end of the load. A loader
-// inserting n statements therefore pays one epoch of structure copying
-// instead of n, which is the same amortization WAL replay has always used.
+// journaled and committed individually as a group of one, exactly as
+// Insert would (crash recovery replays the applied prefix), but the
+// per-statement snapshot publication — and with it the copy-on-write epoch
+// turnover that makes publication O(delta) — is deferred to the end of the
+// load. A loader inserting n statements therefore pays one epoch of
+// structure copying instead of n, which is the same amortization WAL
+// replay has always used.
 // Readers are never blocked: they keep resolving against the snapshot
 // published before the load until the one publish at the end makes the
 // whole load visible at once.
@@ -27,7 +31,7 @@ func (st *Store) BulkLoad(fn func(insert func(core.Statement) (bool, error)) err
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	defer st.publishLocked()
-	st.bulk = true
-	defer func() { st.bulk = false }()
-	return fn(st.insertOne)
+	return fn(func(stmt core.Statement) (bool, error) {
+		return changed(st.applyLocked(single(wal.Insert(stmt))))
+	})
 }

@@ -23,13 +23,13 @@ const windowFillTarget = 64
 // ErrCoalescerClosed is returned by Submit after Close.
 var ErrCoalescerClosed = fmt.Errorf("store: coalescer is closed")
 
-// A Coalescer merges concurrent batch submissions into shared commit
-// rounds: batches that arrive while a round is committing are collected and
-// applied together in the next round via ApplyBatchGroup — one writer-lock
-// acquisition and one WAL fsync for all of them, each batch individually
-// atomic. Under concurrency the fsync cost per batch approaches
-// 1/(batches per round); a lone submitter degenerates to ApplyBatch plus a
-// goroutine hop.
+// A Coalescer merges concurrent group submissions into shared commit
+// rounds: groups that arrive while a round is committing are collected and
+// applied together in the next round via Store.Apply — one writer-lock
+// acquisition and one WAL fsync for all of them, each group individually
+// atomic. Under concurrency the fsync cost per group approaches
+// 1/(groups per round); a lone submitter degenerates to a one-group Apply
+// plus a goroutine hop.
 //
 // The network server funnels every client's ExecBatch through one
 // Coalescer, which is what turns PR 4's one-fsync-per-batch into
@@ -56,10 +56,9 @@ type Coalescer struct {
 
 // coalWait is one queued submission and its rendezvous.
 type coalWait struct {
-	ops   []BatchOp
-	token string
-	done  chan struct{}
-	out   BatchOutcome
+	g    Group
+	done chan struct{}
+	out  Outcome
 }
 
 // NewCoalescer returns a Coalescer committing through st, with no
@@ -85,19 +84,12 @@ func (c *Coalescer) SetWindow(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Submit queues one batch and blocks until its round commits, returning the
-// batch's individual outcome (see ApplyBatchGroup for the per-batch
-// atomicity and error semantics). Submissions made while another round is
-// on disk are coalesced into the next round.
-func (c *Coalescer) Submit(ops []BatchOp) (BatchResult, error) {
-	return c.SubmitToken(ops, "")
-}
-
-// SubmitToken is Submit carrying a client idempotency token ("" for none);
-// the round commits it through ApplyBatchGroupTokens, so a token already
-// applied returns its original result instead of re-applying the batch.
-func (c *Coalescer) SubmitToken(ops []BatchOp, token string) (BatchResult, error) {
-	w := &coalWait{ops: ops, token: token, done: make(chan struct{})}
+// Submit queues one group and blocks until its round commits, returning the
+// group's individual outcome (see Store.Apply for the per-group atomicity,
+// exactly-once token and error semantics). Submissions made while another
+// round is on disk are coalesced into the next round.
+func (c *Coalescer) Submit(g Group) (BatchResult, error) {
+	w := &coalWait{g: g, done: make(chan struct{})}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -117,8 +109,7 @@ func (c *Coalescer) SubmitToken(ops []BatchOp, token string) (BatchResult, error
 // gathering window (once per round, skipped when the queue is already
 // deep), take up to the round bounds, commit them as one group, deliver
 // the outcomes, repeat. New submissions also keep queueing while a round
-// is inside ApplyBatchGroup — the fsync itself is a second, free
-// gathering window.
+// is inside Apply — the fsync itself is a second, free gathering window.
 func (c *Coalescer) lead() {
 	for {
 		c.mu.Lock()
@@ -140,13 +131,11 @@ func (c *Coalescer) lead() {
 		}
 		c.mu.Unlock()
 
-		groups := make([][]BatchOp, len(round))
-		tokens := make([]string, len(round))
+		groups := make([]Group, len(round))
 		for i, w := range round {
-			groups[i] = w.ops
-			tokens[i] = w.token
+			groups[i] = w.g
 		}
-		outs := c.st.ApplyBatchGroupTokens(groups, tokens)
+		outs := c.st.Apply(groups)
 		for i, w := range round {
 			w.out = outs[i]
 			close(w.done)
@@ -159,10 +148,10 @@ func (c *Coalescer) lead() {
 func (c *Coalescer) takeRoundLocked() []*coalWait {
 	n, ops := 0, 0
 	for n < len(c.queue) && n < maxCoalescedBatches {
-		if n > 0 && ops+len(c.queue[n].ops) > maxCoalescedOps {
+		if n > 0 && ops+len(c.queue[n].g.Ops) > maxCoalescedOps {
 			break
 		}
-		ops += len(c.queue[n].ops)
+		ops += len(c.queue[n].g.Ops)
 		n++
 	}
 	round := c.queue[:n:n]

@@ -1,7 +1,7 @@
 package store
 
-// Tests for the multi-batch group commit (ApplyBatchGroup) and the
-// Coalescer that feeds it: equivalence with sequential ApplyBatch calls,
+// Tests for the multi-group commit round (Apply with several groups) and
+// the Coalescer that feeds it: equivalence with sequential one-group rounds,
 // per-batch atomicity inside a shared round, single-fsync accounting,
 // crash-recovery of rounds, and concurrent-submitter stress.
 
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"beliefdb/internal/core"
+	"beliefdb/internal/wal"
 )
 
 // groupFixture opens a store (durable when dir != "") with users u1, u2.
@@ -37,7 +38,7 @@ func groupFixture(t *testing.T, dir string) *Store {
 }
 
 func TestApplyBatchGroupMatchesSequential(t *testing.T) {
-	groups := [][]BatchOp{
+	groups := [][]wal.Op{
 		{bIns(nil, core.Pos, "S", "k1", "bald eagle"), bIns(core.Path{1}, core.Neg, "S", "k1", "bald eagle")},
 		{bIns(core.Path{2}, core.Pos, "S", "k2", "crow")},
 		{bIns(core.Path{2, 1}, core.Pos, "C", "c1", "found feathers"), bDel(core.Path{2}, core.Pos, "S", "k2", "crow")},
@@ -45,11 +46,11 @@ func TestApplyBatchGroupMatchesSequential(t *testing.T) {
 	}
 
 	grouped := groupFixture(t, "")
-	outs := grouped.ApplyBatchGroup(groups)
+	outs := applyRound(grouped, groups)
 
 	seq := groupFixture(t, "")
 	for i, g := range groups {
-		res, err := seq.ApplyBatch(g)
+		res, err := applyOps(seq, g)
 		if err != nil {
 			t.Fatalf("sequential group %d: %v", i, err)
 		}
@@ -65,10 +66,10 @@ func TestApplyBatchGroupMatchesSequential(t *testing.T) {
 
 // TestApplyBatchGroupIsolatesFailures: one batch's conflict rolls back that
 // batch alone; its neighbours in the same round commit, exactly as if each
-// had gone through its own ApplyBatch call.
+// had gone through its own Apply round.
 func TestApplyBatchGroupIsolatesFailures(t *testing.T) {
 	st := groupFixture(t, "")
-	outs := st.ApplyBatchGroup([][]BatchOp{
+	outs := applyRound(st, [][]wal.Op{
 		{bIns(nil, core.Pos, "S", "k1", "bald eagle")},
 		// Same world, same key, both signs: a Γ-conflict mid-batch.
 		{bIns(core.Path{1}, core.Pos, "S", "k2", "crow"), bIns(core.Path{1}, core.Neg, "S", "k2", "crow")},
@@ -109,13 +110,13 @@ func TestApplyBatchGroupIsolatesFailures(t *testing.T) {
 func TestApplyBatchGroupSingleFsync(t *testing.T) {
 	dir := t.TempDir()
 	st := groupFixture(t, dir)
-	groups := [][]BatchOp{
+	groups := [][]wal.Op{
 		{bIns(nil, core.Pos, "S", "k1", "bald eagle")},
 		{bIns(core.Path{1}, core.Pos, "S", "k2", "crow"), bIns(core.Path{1}, core.Neg, "S", "k2", "crow")}, // rolls back
 		{bIns(core.Path{2}, core.Pos, "C", "c1", "feathers"), bIns(core.Path{2, 1}, core.Pos, "S", "k3", "osprey")},
 	}
 	syncs0 := st.WALSyncs()
-	outs := st.ApplyBatchGroup(groups)
+	outs := applyRound(st, groups)
 	if got := st.WALSyncs() - syncs0; got != 1 {
 		t.Errorf("round issued %d fsyncs, want 1", got)
 	}
@@ -134,7 +135,7 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 	}
 	defer re.Close()
 	shadow := groupFixture(t, "")
-	shadow.ApplyBatchGroup(groups)
+	applyRound(shadow, groups)
 	assertSameStore(t, "recovered round", shadow, re)
 }
 
@@ -145,14 +146,14 @@ func TestApplyBatchGroupInsideTxn(t *testing.T) {
 	if _, err := st.DB().Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	outs := st.ApplyBatchGroup([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}})
+	outs := applyRound(st, [][]wal.Op{{bIns(nil, core.Pos, "S", "k1", "x")}})
 	if outs[0].Err == nil || !strings.Contains(outs[0].Err.Error(), "transaction") {
 		t.Fatalf("outcome inside txn = %+v", outs[0])
 	}
 	if _, err := st.DB().Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
 	}
-	if outs := st.ApplyBatchGroup([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}}); outs[0].Err != nil {
+	if outs := applyRound(st, [][]wal.Op{{bIns(nil, core.Pos, "S", "k1", "x")}}); outs[0].Err != nil {
 		t.Fatalf("after rollback: %v", outs[0].Err)
 	}
 }
@@ -186,7 +187,7 @@ func TestCoalescerConcurrentSubmit(t *testing.T) {
 				defer wg.Done()
 				<-start
 				key := fmt.Sprintf("w%d-%d", wave, w)
-				res, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", key, "sp")})
+				res, err := c.Submit(Group{Ops: []wal.Op{bIns(nil, core.Pos, "S", key, "sp")}})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return
@@ -221,12 +222,12 @@ func TestCoalescerConcurrentSubmit(t *testing.T) {
 func TestCoalescerClose(t *testing.T) {
 	st := groupFixture(t, "")
 	c := NewCoalescer(st)
-	if _, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", "k", "x")}); err != nil {
+	if _, err := c.Submit(Group{Ops: []wal.Op{bIns(nil, core.Pos, "S", "k", "x")}}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	c.Close() // idempotent
-	if _, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", "k2", "x")}); err != ErrCoalescerClosed {
+	if _, err := c.Submit(Group{Ops: []wal.Op{bIns(nil, core.Pos, "S", "k2", "x")}}); err != ErrCoalescerClosed {
 		t.Fatalf("Submit after Close: %v", err)
 	}
 	if n := st.Len(); n != 1 {
@@ -246,7 +247,7 @@ func TestCoalescerCloseSkipsWindow(t *testing.T) {
 	const window = 50 * time.Millisecond
 	c.SetWindow(window)
 
-	// Stall the leader's first round inside ApplyBatchGroupTokens by
+	// Stall the leader's first round inside Apply by
 	// holding the writer lock, and pile up a backlog deep enough to need
 	// several more rounds after it.
 	const backlog = 3*maxCoalescedBatches + 1
@@ -258,7 +259,7 @@ func TestCoalescerCloseSkipsWindow(t *testing.T) {
 			defer wg.Done()
 			// A straggler may be rejected by the racing Close; both
 			// outcomes are fine, the test only measures Close latency.
-			c.Submit([]BatchOp{bIns(nil, core.Pos, "S", fmt.Sprintf("w%d", i), "x")})
+			c.Submit(Group{Ops: []wal.Op{bIns(nil, core.Pos, "S", fmt.Sprintf("w%d", i), "x")}})
 		}(i)
 	}
 	// Wait until every submission is queued AND the leader has carved off
@@ -310,7 +311,7 @@ func TestCoalescerCloseDrainsAcceptedBatches(t *testing.T) {
 					return
 				default:
 				}
-				_, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", fmt.Sprintf("d%d-%d", w, i), "x")})
+				_, err := c.Submit(Group{Ops: []wal.Op{bIns(nil, core.Pos, "S", fmt.Sprintf("d%d-%d", w, i), "x")}})
 				results <- outcome{committed: err == nil, err: err}
 				if err != nil {
 					return

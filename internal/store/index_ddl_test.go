@@ -141,7 +141,7 @@ func TestReplicaAppliesIndexDDL(t *testing.T) {
 	}
 	seedSightings(t, replica, 6)
 	sql := "CREATE ORDERED INDEX S_star_species ON S_star (species)"
-	if err := replica.ApplyReplicated(wal.SQL(sql)); err != nil {
+	if err := replica.Replay([]wal.Op{wal.SQL(sql)}); err != nil {
 		t.Fatal(err)
 	}
 	info := findIndex(replica, "S_star", "S_star_species")
@@ -150,7 +150,7 @@ func TestReplicaAppliesIndexDDL(t *testing.T) {
 	}
 	// Replays are idempotent-by-outcome: a duplicate CREATE INDEX is a
 	// deterministic no-op error, not a replication failure.
-	if err := replica.ApplyReplicated(wal.SQL(sql)); err != nil {
+	if err := replica.Replay([]wal.Op{wal.SQL(sql)}); err != nil {
 		t.Fatalf("duplicate DDL replay errored structurally: %v", err)
 	}
 }

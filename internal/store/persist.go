@@ -164,49 +164,22 @@ func openAt(dir string, rels []Relation, lazy bool) (st *Store, err error) {
 		skip = int(min(snapApplied, uint64(len(rec.Ops))))
 	}
 	for k := skip; k < len(rec.Ops); k++ {
-		op := rec.Ops[k]
-		switch op.Kind {
-		case wal.KindSchema:
-			if err := st.validateSchemaDef(op.Def); err != nil {
-				rec.Log.Close()
-				return nil, err
-			}
-		case wal.KindBatchBegin:
-			// The marker groups the next Count records into one atomic
-			// batch; replay it through the same all-or-nothing path the
-			// live batch took, so a mid-batch conflict rolls back
-			// identically. Recovery already truncated incomplete trailing
-			// groups, so a short group here is a format error.
-			n := int(op.Count)
+		// A marker groups the next Count records into one atomic unit.
+		// Recovery already truncated incomplete trailing groups, so a short
+		// group here is a format error.
+		n := 0
+		if op := rec.Ops[k]; op.Kind == wal.KindBatchBegin {
+			n = int(op.Count)
 			if k+1+n > len(rec.Ops) {
 				rec.Log.Close()
 				return nil, fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(rec.Ops)-k-1)
 			}
-			batch := make([]BatchOp, n)
-			for i, bop := range rec.Ops[k+1 : k+1+n] {
-				switch bop.Kind {
-				case wal.KindInsert:
-					batch[i] = BatchOp{Stmt: bop.Stmt}
-				case wal.KindDelete:
-					batch[i] = BatchOp{Delete: true, Stmt: bop.Stmt}
-				default:
-					rec.Log.Close()
-					return nil, fmt.Errorf("store: cannot replay %s inside a WAL batch", bop.Kind)
-				}
-			}
-			// Batch-level outcomes (a conflict rolling the group back) are
-			// deterministic and deliberately ignored, like applyOp's. The
-			// tokened path re-enters the marker's token into the dedup
-			// table — and skips a batch whose token already replayed — so a
-			// client retrying across the restart stays exactly-once.
-			st.ApplyBatchToken(batch, op.Token)
-			k += n
-		default:
-			if err := st.applyOp(op); err != nil {
-				rec.Log.Close()
-				return nil, err
-			}
 		}
+		if err := st.Replay(rec.Ops[k : k+1+n]); err != nil {
+			rec.Log.Close()
+			return nil, err
+		}
+		k += n
 	}
 	st.wal = rec.Log
 	st.durable = true
@@ -291,21 +264,43 @@ func (st *Store) WALSyncs() uint64 {
 	return st.wal.Syncs()
 }
 
-// applyOp replays one WAL operation through the regular update algorithms.
+// Replay applies one journaled unit — a single WAL record, or a BatchBegin
+// marker followed by exactly its Count members — through the regular write
+// paths. Crash recovery feeds it the WAL and a replica feeds it the
+// primary's shipped records, so both reach the state the primary reached.
 // Operation-level outcomes (conflicts, duplicate users, no-op deletes) are
 // deliberately ignored: the log records attempted operations, and replaying
 // them produces byte-for-byte the same decisions they produced originally —
-// including the failures. Only structural problems abort recovery.
-func (st *Store) applyOp(op wal.Op) error {
+// including the failures. A group carries its marker's token back into the
+// exactly-once dedup table, so a group delivered or replayed twice applies
+// once and a client retrying across a restart stays exactly-once. Only
+// structural problems are errors.
+func (st *Store) Replay(unit []wal.Op) error {
+	if len(unit) == 0 {
+		return nil
+	}
+	op := unit[0]
+	if op.Kind == wal.KindBatchBegin {
+		members := unit[1:]
+		if uint64(len(members)) != op.Count {
+			return fmt.Errorf("store: WAL batch declares %d records, got %d", op.Count, len(members))
+		}
+		for _, m := range members {
+			if !isStatement(m.Kind) {
+				return fmt.Errorf("store: cannot replay %s inside a WAL batch", m.Kind)
+			}
+		}
+		st.Apply([]Group{{Ops: members, Token: op.Token}})
+		return nil
+	}
+	if len(unit) != 1 {
+		return fmt.Errorf("store: %d WAL records without a batch marker", len(unit))
+	}
 	switch op.Kind {
+	case wal.KindInsert, wal.KindDelete, wal.KindReplace:
+		st.Apply([]Group{{Ops: unit}})
 	case wal.KindAddUser:
 		_, _ = st.AddUser(op.Name)
-	case wal.KindInsert:
-		_, _ = st.Insert(op.Stmt)
-	case wal.KindDelete:
-		_, _ = st.Delete(op.Stmt)
-	case wal.KindReplace:
-		_, _ = st.Replace(op.Stmt, core.Tuple{Rel: op.Stmt.Tuple.Rel, Vals: op.NewVals})
 	case wal.KindRebuild:
 		_ = st.Rebuild()
 	case wal.KindVacuum:
@@ -320,14 +315,19 @@ func (st *Store) applyOp(op wal.Op) error {
 	return nil
 }
 
-// logOp appends one operation to the WAL and syncs it. Mutating methods
+// logOp journals one operation that is not a belief statement (AddUser,
+// Rebuild, Vacuum, raw SQL) as a bare record.
+func (st *Store) logOp(op wal.Op) error { return st.journal([][]wal.Op{{op}}, []string{""}) }
+
+// journal appends groups of operations (tokens parallel to them) to the WAL
+// in one write and one fsync (see wal.Log.AppendGroups). Mutating methods
 // call it under the exclusive writer lock after validating their inputs and
 // before touching any table (write-ahead), so a crash at any later point
-// replays the operation on recovery. In-memory stores (wal == nil) skip
+// replays the operations on recovery. In-memory stores (wal == nil) skip
 // logging. After an append failure the store refuses further mutations:
 // bytes after a torn record are unreachable to recovery, so acknowledging
 // later operations would silently drop them.
-func (st *Store) logOp(op wal.Op) error {
+func (st *Store) journal(groups [][]wal.Op, tokens []string) error {
 	if st.closed {
 		return ErrClosed
 	}
@@ -337,7 +337,7 @@ func (st *Store) logOp(op wal.Op) error {
 	if st.walErr != nil {
 		return st.readOnlyErrLocked()
 	}
-	if err := st.wal.Append(op); err != nil {
+	if err := st.wal.AppendGroups(groups, tokens); err != nil {
 		// A too-large record is refused before any byte is written: the
 		// log is still clean, so only genuine I/O failures are sticky.
 		if !errors.Is(err, wal.ErrRecordTooLarge) {
@@ -345,7 +345,12 @@ func (st *Store) logOp(op wal.Op) error {
 		}
 		return err
 	}
-	st.walCount++
+	for i, ops := range groups {
+		st.walCount += uint64(len(ops))
+		if !wal.Bare(ops, tokens[i]) {
+			st.walCount++ // the BatchBegin marker
+		}
+	}
 	return nil
 }
 

@@ -5,12 +5,11 @@ import (
 	"path/filepath"
 
 	"beliefdb/internal/snapshot"
-	"beliefdb/internal/wal"
 )
 
 // This file is the store's replication surface: what a primary exposes so
 // its WAL can be shipped (WALStatus, WALPath, ReplicationSnapshot) and how
-// a replica applies shipped records (ApplyReplicated, ApplyReplicatedGroup).
+// a replica applies shipped records (Replay, shared with crash recovery).
 //
 // The shipping unit is the primary's own WAL: records below the committed
 // count reported by WALStatus are exactly the operations the primary has
@@ -69,40 +68,4 @@ func (st *Store) ReplicationSnapshot() (*snapshot.Model, error) {
 	m.WalEpoch = st.wal.Epoch()
 	m.WalApplied = st.walCount
 	return m, nil
-}
-
-// ApplyReplicated replays one shipped WAL operation through the regular
-// update algorithms, exactly as crash recovery would: operation-level
-// outcomes (conflicts, duplicate users, no-op deletes) are deterministic
-// re-runs of the primary's decisions and are deliberately ignored; only
-// structural problems are errors. Batch markers are refused — groups
-// arrive whole via ApplyReplicatedGroup.
-func (st *Store) ApplyReplicated(op wal.Op) error {
-	if op.Kind == wal.KindBatchBegin {
-		return fmt.Errorf("store: replicated %s outside a group", op.Kind)
-	}
-	return st.applyOp(op)
-}
-
-// ApplyReplicatedGroup replays one shipped batch group (the records after a
-// BatchBegin marker) through the tokened batch path. The token re-enters
-// the primary's exactly-once dedup table on the replica, so a group that is
-// delivered twice — the follower advances its cursor only after applying,
-// making delivery at-least-once — is applied once; a group whose members
-// deterministically conflict rolls back here exactly as it did on the
-// primary. Only malformed members are errors.
-func (st *Store) ApplyReplicatedGroup(ops []wal.Op, token string) error {
-	batch := make([]BatchOp, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case wal.KindInsert:
-			batch[i] = BatchOp{Stmt: op.Stmt}
-		case wal.KindDelete:
-			batch[i] = BatchOp{Delete: true, Stmt: op.Stmt}
-		default:
-			return fmt.Errorf("store: cannot replicate %s inside a batch group", op.Kind)
-		}
-	}
-	_, _ = st.ApplyBatchToken(batch, token)
-	return nil
 }

@@ -63,8 +63,8 @@ type relInfo struct {
 // Store is a belief database persisted in the relational internal schema.
 //
 // A Store is safe for concurrent use under the single-writer /
-// snapshot-reader (MVCC) model: the update algorithms (Insert/Delete/
-// Replace, AddUser, Rebuild, Vacuum, the batch paths) hold the exclusive
+// snapshot-reader (MVCC) model: the update algorithms (Apply and its
+// wrappers, AddUser, Rebuild, Vacuum) hold the exclusive
 // writer lock shared with the embedded database (sqldb.DB.Locker) and, on
 // completion, publish an immutable view of the whole representation through
 // an atomic pointer swap. Read methods (WorldContent, Entails,
@@ -91,10 +91,6 @@ type Store struct {
 	// openAt publishes once when recovery completes.
 	replaying bool
 
-	// bulk suppresses per-statement publication during BulkLoad, which
-	// publishes once when the load completes (see bulk.go).
-	bulk bool
-
 	// Durability (see persist.go). All nil/zero for in-memory stores: a
 	// nil wal makes logOp a no-op. The fields are guarded by mu like the
 	// tables they journal.
@@ -106,8 +102,8 @@ type Store struct {
 	durable  bool
 	closed   bool
 
-	// Exactly-once retry dedup (see batch.go): idempotency tokens of
-	// successfully applied batches mapped to their results, evicted FIFO
+	// Exactly-once retry dedup (see apply.go): idempotency tokens of
+	// successfully applied groups mapped to their results, evicted FIFO
 	// past maxAppliedTokens. Rebuilt from the WAL's BatchBegin markers on
 	// recovery; guarded by mu like everything they index.
 	appliedTokens map[string]BatchResult

@@ -423,49 +423,21 @@ func genRelation() store.Relation {
 }
 
 // TestQuickStoreMatchesCore: the incremental store, the declarative
-// closure, and the canonical Kripke structure agree on entailment and
-// world contents for random workloads.
+// closure, and the canonical Kripke structure agree on entailment, states,
+// edges and world contents — for generated insert-only workloads, and for
+// random histories of inserts, deletes, replaces and conflicting
+// multi-statement groups committed through Apply on the eager, lazy and
+// durable (reopened) stores.
 func TestQuickStoreMatchesCore(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := 2 + r.Intn(4)
 		n := 20 + r.Intn(40)
 		st, base, users := loadRandom(t, seed, n, m)
-		k := kripke.Build(base, users)
-
-		// Structural agreement: state count and edge count.
-		stats := st.Stats()
-		if stats.States != k.Len() {
-			t.Logf("seed %d: N store=%d kripke=%d", seed, stats.States, k.Len())
+		if !matchesOracle(t, fmt.Sprintf("seed %d generated", seed), st, base, base.SupportPaths(), users, r) {
 			return false
 		}
-		if stats.TableRows["_e"] != k.EdgeCount() {
-			t.Logf("seed %d: |E| store=%d kripke=%d", seed, stats.TableRows["_e"], k.EdgeCount())
-			return false
-		}
-		// World-content agreement for every state plus random off-state paths.
-		for _, s := range k.States() {
-			w, err := st.WorldContent(s.Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !w.EqualWithFlags(s.World) {
-				t.Logf("seed %d: world %s differs:\n store=%s\n kripke=%s", seed, s.Path, w, s.World)
-				return false
-			}
-		}
-		for probe := 0; probe < 20; probe++ {
-			p := randomPath(r, users)
-			w, err := st.WorldContent(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !w.Equal(base.EntailedWorld(p)) {
-				t.Logf("seed %d: off-state world %s differs", seed, p)
-				return false
-			}
-		}
-		return true
+		return checkHistory(t, seed, r, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"beliefdb/internal/core"
+	"beliefdb/internal/wal"
 )
 
 func tokenStore(t *testing.T) (*Store, string) {
@@ -39,13 +40,13 @@ func countKey(t *testing.T, st *Store, key string) int {
 
 func TestTokenDedupSingleBatch(t *testing.T) {
 	st, _ := tokenStore(t)
-	batch := []BatchOp{bIns(core.Path{}, core.Pos, "S", "s1", "eagle")}
-	res1, err := st.ApplyBatchToken(batch, "tok-a")
+	batch := []wal.Op{bIns(core.Path{}, core.Pos, "S", "s1", "eagle")}
+	res1, err := applyOpsToken(st, batch, "tok-a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The retry reports the original outcome without re-applying.
-	res2, err := st.ApplyBatchToken(batch, "tok-a")
+	res2, err := applyOpsToken(st, batch, "tok-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestTokenDedupSingleBatch(t *testing.T) {
 	}
 	// A different token is a different batch: the duplicate insert is a
 	// no-op at the engine level but goes through the full apply path.
-	if _, err := st.ApplyBatchToken(batch, "tok-b"); err != nil {
+	if _, err := applyOpsToken(st, batch, "tok-b"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,11 +68,11 @@ func TestTokenDedupWithinGroupRound(t *testing.T) {
 	// duplicate must not be journaled or applied twice, and both callers
 	// must see the same outcome.
 	st, dir := tokenStore(t)
-	batch := []BatchOp{bIns(core.Path{}, core.Pos, "S", "s2", "crow")}
-	other := []BatchOp{bIns(core.Path{}, core.Pos, "S", "s3", "raven")}
-	out := st.ApplyBatchGroupTokens(
-		[][]BatchOp{batch, other, batch},
-		[]string{"tok-r", "", "tok-r"},
+	batch := []wal.Op{bIns(core.Path{}, core.Pos, "S", "s2", "crow")}
+	other := []wal.Op{bIns(core.Path{}, core.Pos, "S", "s3", "raven")}
+	out := applyRound(st,
+		[][]wal.Op{batch, other, batch},
+		"tok-r", "", "tok-r",
 	)
 	for i, o := range out {
 		if o.Err != nil {
@@ -102,8 +103,8 @@ func TestTokenDedupWithinGroupRound(t *testing.T) {
 
 func TestTokenTableSurvivesReplay(t *testing.T) {
 	st, dir := tokenStore(t)
-	batch := []BatchOp{bIns(core.Path{}, core.Pos, "S", "s4", "owl")}
-	res1, err := st.ApplyBatchToken(batch, "tok-replay")
+	batch := []wal.Op{bIns(core.Path{}, core.Pos, "S", "s4", "owl")}
+	res1, err := applyOpsToken(st, batch, "tok-replay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestTokenTableSurvivesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	res2, err := re.ApplyBatchToken(batch, "tok-replay")
+	res2, err := applyOpsToken(re, batch, "tok-replay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +138,8 @@ func TestTokenTableFIFOBound(t *testing.T) {
 	}
 	defer st.Close()
 	for i := 0; i < maxAppliedTokens+10; i++ {
-		batch := []BatchOp{bIns(core.Path{}, core.Pos, "S", "k", "v")}
-		if _, err := st.ApplyBatchToken(batch, tokenName(i)); err != nil {
+		batch := []wal.Op{bIns(core.Path{}, core.Pos, "S", "k", "v")}
+		if _, err := applyOpsToken(st, batch, tokenName(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -111,10 +111,10 @@ func (st *Store) publishView(fcat *engine.Catalog) {
 // publishLocked publishes a fresh snapshot after a mutation. Callers hold
 // the writer lock; mutators register it with defer immediately after the
 // unlock defer so it runs first (still under the lock). During WAL replay
-// and bulk loads publication is suppressed — openAt and BulkLoad publish
-// once when they finish.
+// publication is suppressed — openAt publishes once when recovery
+// completes.
 func (st *Store) publishLocked() {
-	if st.replaying || st.bulk {
+	if st.replaying {
 		return
 	}
 	st.db.PublishLocked()

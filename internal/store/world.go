@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
@@ -56,26 +55,6 @@ func (v *view) dssWid(w core.Path) int64 {
 		}
 	}
 	return 0
-}
-
-// dependents returns the world ids of all states having w as a proper
-// suffix, in ascending depth order — the propagation set of Algorithm 4
-// (T2) and of deletions.
-func (v *view) dependents(w core.Path) []int64 {
-	var out []int64
-	for wid, p := range v.pathByWid {
-		if len(p) > len(w) && p.HasSuffix(w) {
-			out = append(out, wid)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		pi, pj := v.pathByWid[out[i]], v.pathByWid[out[j]]
-		if len(pi) != len(pj) {
-			return len(pi) < len(pj)
-		}
-		return pi.Key() < pj.Key()
-	})
-	return out
 }
 
 // idWorld implements Algorithm 2: it returns the world id of w, creating

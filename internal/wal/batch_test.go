@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,7 +28,7 @@ func TestAppendBatchSingleSync(t *testing.T) {
 	}
 	headerSyncs := log.Syncs()
 	ops := []Op{Insert(batchStmt("k1")), Delete(batchStmt("k2")), Insert(batchStmt("k3"))}
-	if err := log.AppendBatch(ops); err != nil {
+	if err := log.AppendGroups([][]Op{ops}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.Syncs() - headerSyncs; got != 1 {
@@ -65,7 +66,7 @@ func TestAppendBatchSingleSync(t *testing.T) {
 	}
 }
 
-// TestAppendBatchRejectsBadInput: empty batches are a no-op, nested markers
+// TestAppendBatchRejectsBadInput: an empty call is a no-op, nested markers
 // and oversized members are refused before any byte reaches the sink.
 func TestAppendBatchRejectsBadInput(t *testing.T) {
 	sink := &MemSink{}
@@ -74,16 +75,16 @@ func TestAppendBatchRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := len(sink.Buf)
-	if err := log.AppendBatch(nil); err != nil {
+	if err := log.AppendGroups(nil, nil); err != nil {
 		t.Errorf("empty batch: %v", err)
 	}
-	if err := log.AppendBatch([]Op{Insert(batchStmt("k")), BatchBegin(1)}); err == nil {
+	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k")), BatchBegin(1, "")}}, nil); err == nil {
 		t.Error("nested batch marker accepted")
 	}
 	huge := core.Statement{Sign: core.Pos, Tuple: core.Tuple{
 		Rel: "S", Vals: []val.Value{val.Str(string(make([]byte, maxRecordLen)))},
 	}}
-	err = log.AppendBatch([]Op{Insert(batchStmt("k")), Insert(huge)})
+	err = log.AppendGroups([][]Op{{Insert(batchStmt("k")), Insert(huge)}}, nil)
 	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("oversized member: %v", err)
 	}
@@ -122,7 +123,7 @@ func TestRecoveryTruncatesIncompleteBatch(t *testing.T) {
 	// Hand-craft the crash: a marker claiming 3 members followed by only 2
 	// intact members (the third never reached the disk).
 	var group []byte
-	group = AppendRecord(group, BatchBegin(3).Encode(nil))
+	group = AppendRecord(group, BatchBegin(3, "").Encode(nil))
 	group = AppendRecord(group, Insert(batchStmt("b1")).Encode(nil))
 	group = AppendRecord(group, Insert(batchStmt("b2")).Encode(nil))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -153,7 +154,7 @@ func TestRecoveryTruncatesIncompleteBatch(t *testing.T) {
 		t.Errorf("file is %d bytes, want truncated back to %d", fi.Size(), cleanSize.Size())
 	}
 	// A complete group after reopen replays on the next recovery.
-	if err := re.Log.AppendBatch([]Op{Insert(batchStmt("c1")), Insert(batchStmt("c2"))}); err != nil {
+	if err := re.Log.AppendGroups([][]Op{{Insert(batchStmt("c1")), Insert(batchStmt("c2"))}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	re.Log.Close()
@@ -306,14 +307,17 @@ func appendBytes(t *testing.T, path string, b []byte) {
 }
 
 // TestAppendGroupsSingleSync: several independent groups land through one
-// Write and one Sync, and the bytes are identical to consecutive
-// AppendBatch calls — recovery needs no new cases.
+// Write and one Sync, and the bytes are identical to appending each group
+// on its own — recovery needs no new cases. A lone untokened op is written
+// bare; a tokened one keeps its marker.
 func TestAppendGroupsSingleSync(t *testing.T) {
 	groups := [][]Op{
 		{Insert(batchStmt("a1")), Insert(batchStmt("a2"))},
 		{Delete(batchStmt("b1"))},
 		{Insert(batchStmt("c1")), Delete(batchStmt("c2")), Insert(batchStmt("c3"))},
+		{Insert(batchStmt("d1"))},
 	}
+	tokens := []string{"", "", "", "tok-d"}
 
 	one := &MemSink{}
 	logOne, err := NewLog(one, 7)
@@ -321,7 +325,7 @@ func TestAppendGroupsSingleSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	headerSyncs := logOne.Syncs()
-	if err := logOne.AppendGroups(groups); err != nil {
+	if err := logOne.AppendGroups(groups, tokens); err != nil {
 		t.Fatal(err)
 	}
 	if got := logOne.Syncs() - headerSyncs; got != 1 {
@@ -336,13 +340,33 @@ func TestAppendGroupsSingleSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range groups {
-		if err := logMany.AppendBatch(g); err != nil {
+	for i, g := range groups {
+		if err := logMany.AppendGroups([][]Op{g}, tokens[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(one.Buf, many.Buf) {
-		t.Error("AppendGroups bytes differ from consecutive AppendBatch calls")
+		t.Error("AppendGroups bytes differ from appending each group alone")
+	}
+	// The bare group is byte-identical to Append.
+	bare := &MemSink{}
+	logBare, err := NewLog(bare, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logBare.Append(Delete(batchStmt("b1"))); err != nil {
+		t.Fatal(err)
+	}
+	single := &MemSink{}
+	logSingle, err := NewLog(single, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logSingle.AppendGroups(groups[1:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bare.Buf, single.Buf) {
+		t.Error("a one-op untokened group is not written as the bare record")
 	}
 
 	payloads, _, cleanLen, err := Recover(one.Buf)
@@ -352,12 +376,25 @@ func TestAppendGroupsSingleSync(t *testing.T) {
 	if cleanLen != int64(len(one.Buf)) {
 		t.Fatalf("cleanLen = %d, want %d", cleanLen, len(one.Buf))
 	}
-	wantRecords := 0
-	for _, g := range groups {
-		wantRecords += 1 + len(g)
+	var kinds []Kind
+	for _, p := range payloads {
+		op, err := DecodeOp(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, op.Kind)
 	}
-	if len(payloads) != wantRecords {
-		t.Fatalf("recovered %d records, want %d", len(payloads), wantRecords)
+	want := []Kind{
+		KindBatchBegin, KindInsert, KindInsert,
+		KindDelete,
+		KindBatchBegin, KindInsert, KindDelete, KindInsert,
+		KindBatchBegin, KindInsert,
+	}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("record kinds %v, want %v", kinds, want)
+	}
+	if last, _ := DecodeOp(payloads[8]); last.Token != "tok-d" || last.Count != 1 {
+		t.Errorf("tokened marker = %s, want BatchBegin(1, token=\"tok-d\")", last)
 	}
 }
 
@@ -371,19 +408,23 @@ func TestAppendGroupsRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := len(sink.Buf)
-	if err := log.AppendGroups(nil); err != nil {
+	if err := log.AppendGroups(nil, nil); err != nil {
 		t.Errorf("no groups: %v", err)
 	}
-	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {}}); err == nil {
+	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {}}, nil); err == nil {
 		t.Error("empty group accepted")
 	}
-	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {BatchBegin(1)}}); err == nil {
+	// A lone marker would be a bare group: it must be refused all the same.
+	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {BatchBegin(1, "")}}, nil); err == nil {
 		t.Error("nested batch marker accepted")
+	}
+	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}}, []string{"a", "b"}); err == nil {
+		t.Error("token count mismatch accepted")
 	}
 	huge := core.Statement{Sign: core.Pos, Tuple: core.Tuple{
 		Rel: "S", Vals: []val.Value{val.Str(string(make([]byte, maxRecordLen)))},
 	}}
-	err = log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {Insert(huge)}})
+	err = log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {Insert(huge)}}, nil)
 	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("oversized member: %v", err)
 	}
@@ -411,11 +452,11 @@ func TestAppendGroupsTornTrailingGroup(t *testing.T) {
 	// The bytes AppendGroups would emit for two groups, torn three bytes
 	// into the second group's last member.
 	var buf []byte
-	buf = AppendRecord(buf, BatchBegin(2).Encode(nil))
+	buf = AppendRecord(buf, BatchBegin(2, "").Encode(nil))
 	buf = AppendRecord(buf, Insert(batchStmt("g1a")).Encode(nil))
 	buf = AppendRecord(buf, Insert(batchStmt("g1b")).Encode(nil))
 	g1len := len(buf)
-	buf = AppendRecord(buf, BatchBegin(2).Encode(nil))
+	buf = AppendRecord(buf, BatchBegin(2, "").Encode(nil))
 	buf = AppendRecord(buf, Insert(batchStmt("g2a")).Encode(nil))
 	full := AppendRecord(buf, Insert(batchStmt("g2b")).Encode(nil))
 	appendBytes(t, path, full[:len(full)-3])

@@ -117,14 +117,10 @@ func SQL(sql string) Op { return Op{Kind: KindSQL, SQL: sql} }
 func Schema(def SchemaDef) Op { return Op{Kind: KindSchema, Def: &def} }
 
 // BatchBegin returns a batch-boundary marker: the next n records belong to
-// one atomic batch (written together by AppendBatch, replayed all-or-nothing).
-func BatchBegin(n uint64) Op { return Op{Kind: KindBatchBegin, Count: n} }
-
-// BatchBeginToken returns a batch-boundary marker carrying the client's
-// idempotency token, so replay can rebuild the applied-token dedup table.
-func BatchBeginToken(n uint64, token string) Op {
-	return Op{Kind: KindBatchBegin, Count: n, Token: token}
-}
+// one atomic group (written together by AppendGroups, replayed
+// all-or-nothing). A non-empty token is the client's idempotency token, so
+// replay can rebuild the applied-token dedup table.
+func BatchBegin(n uint64, token string) Op { return Op{Kind: KindBatchBegin, Count: n, Token: token} }
 
 // String renders the op for diagnostics.
 func (op Op) String() string {

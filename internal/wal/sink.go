@@ -174,14 +174,10 @@ func (l *Log) sync() error {
 // considered torn and the caller must stop appending (recovery will
 // truncate the partial frame).
 func (l *Log) Append(op Op) error {
-	l.payload = op.Encode(l.payload[:0])
-	// A frame beyond maxRecordLen would be written and acknowledged but
-	// discarded as torn by the next Recover — taking every later record
-	// with it. Refuse it up front, before any byte reaches the sink.
-	if len(l.payload) > maxRecordLen {
-		return fmt.Errorf("%w: %s payload is %d bytes (max %d)", ErrRecordTooLarge, op.Kind, len(l.payload), maxRecordLen)
+	l.scratch = l.scratch[:0]
+	if err := l.frame(op); err != nil {
+		return err
 	}
-	l.scratch = AppendRecord(l.scratch[:0], l.payload)
 	if _, err := l.sink.Write(l.scratch); err != nil {
 		return fmt.Errorf("wal: appending %s: %w", op.Kind, err)
 	}
@@ -191,54 +187,27 @@ func (l *Log) Append(op Op) error {
 	return nil
 }
 
-// AppendBatch journals ops as one atomic batch under a single commit
-// boundary: a BatchBegin marker record plus one record per op, all encoded
-// into the scratch buffer and handed to the sink as one Write followed by
-// one Sync. The per-record CRC framing is unchanged, so byte-level recovery
-// is identical to per-op appends; the marker tells replay that the group
-// applies all-or-nothing, and recovery discards a trailing group whose
-// members were cut off by a torn write (the sync never completed, so the
-// batch was never acknowledged). Nothing is written when any record is
-// oversized or when ops itself contains a batch marker.
-func (l *Log) AppendBatch(ops []Op) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	return l.AppendGroups([][]Op{ops})
-}
+// Bare reports whether AppendGroups journals a group as its lone record,
+// with no BatchBegin marker: a single op carrying no idempotency token. A
+// bare record replays exactly like a one-member group, so the marker would
+// only cost bytes; a token needs the marker to travel in.
+func Bare(ops []Op, token string) bool { return len(ops) == 1 && token == "" }
 
-// AppendBatchToken is AppendBatch with a client idempotency token journaled
-// in the group's BatchBegin marker (see AppendGroupsToken).
-func (l *Log) AppendBatchToken(ops []Op, token string) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	return l.AppendGroupsToken([][]Op{ops}, []string{token})
-}
-
-// AppendGroups journals several independent batch groups under one commit
-// boundary: each group keeps its own BatchBegin marker and all-or-nothing
-// replay semantics, but the whole sequence reaches the sink as a single
-// Write acknowledged by a single Sync — the fsync amortization the server's
-// batch coalescer relies on to commit many clients' batches at once. On
-// disk the bytes are indistinguishable from consecutive AppendBatch calls,
-// so recovery needs no new cases: complete leading groups replay normally
-// (durable but unacknowledged, like any record whose sync raced a crash)
-// and a trailing group cut off by a torn write is discarded whole. Nothing
-// is written when any record is oversized, any group nests a batch marker,
-// or any group is empty (an empty group would journal a marker promising
-// zero members — bytes no caller asked to commit).
-func (l *Log) AppendGroups(groups [][]Op) error {
-	return l.AppendGroupsToken(groups, nil)
-}
-
-// AppendGroupsToken is AppendGroups with per-group idempotency tokens:
-// tokens[i] ("" = none) is recorded in group i's BatchBegin marker, so a
-// replay after a crash can rebuild the store's applied-token dedup table
-// and a retried batch stays exactly-once across the restart. A nil tokens
-// slice means no group carries a token; otherwise len(tokens) must equal
-// len(groups).
-func (l *Log) AppendGroupsToken(groups [][]Op, tokens []string) error {
+// AppendGroups journals several independent groups under one commit
+// boundary: the whole sequence reaches the sink as a single Write
+// acknowledged by a single Sync, the fsync amortization group commit rests
+// on. A Bare group is written as its one record, as Append would write it;
+// any other group is a BatchBegin marker carrying tokens[i] ("" = none;
+// a nil tokens slice means no group has one) followed by one record per
+// op. The per-record CRC framing is unchanged, and the bytes are the same
+// as appending each group on its own, so recovery needs no extra cases:
+// complete leading groups replay normally (durable but unacknowledged,
+// like any record whose sync raced a crash) and a trailing group cut off
+// by a torn write is discarded whole — its sync never completed, so it was
+// never acknowledged, and a group applies all-or-nothing. Nothing is
+// written when any record is oversized, any group nests a batch marker, or
+// any group is empty (its marker would promise zero members).
+func (l *Log) AppendGroups(groups [][]Op, tokens []string) error {
 	if len(groups) == 0 {
 		return nil
 	}
@@ -251,33 +220,44 @@ func (l *Log) AppendGroupsToken(groups [][]Op, tokens []string) error {
 		if len(ops) == 0 {
 			return fmt.Errorf("wal: empty batch group")
 		}
-		marker := BatchBegin(uint64(len(ops)))
+		token := ""
 		if tokens != nil {
-			marker.Token = tokens[gi]
+			token = tokens[gi]
 		}
-		l.payload = marker.Encode(l.payload[:0])
-		if len(l.payload) > maxRecordLen {
-			return fmt.Errorf("%w: batch marker payload is %d bytes (max %d)", ErrRecordTooLarge, len(l.payload), maxRecordLen)
+		if !Bare(ops, token) {
+			if err := l.frame(BatchBegin(uint64(len(ops)), token)); err != nil {
+				return err
+			}
 		}
-		l.scratch = AppendRecord(l.scratch, l.payload)
 		for _, op := range ops {
 			if op.Kind == KindBatchBegin {
 				return fmt.Errorf("wal: batches cannot nest (op %s)", op)
 			}
-			l.payload = op.Encode(l.payload[:0])
-			if len(l.payload) > maxRecordLen {
-				return fmt.Errorf("%w: %s payload is %d bytes (max %d)", ErrRecordTooLarge, op.Kind, len(l.payload), maxRecordLen)
+			if err := l.frame(op); err != nil {
+				return err
 			}
-			l.scratch = AppendRecord(l.scratch, l.payload)
 		}
 		total += len(ops)
 	}
 	if _, err := l.sink.Write(l.scratch); err != nil {
-		return fmt.Errorf("wal: appending %d batch group(s) of %d: %w", len(groups), total, err)
+		return fmt.Errorf("wal: appending %d group(s) of %d: %w", len(groups), total, err)
 	}
 	if err := l.sync(); err != nil {
-		return fmt.Errorf("wal: syncing %d batch group(s) of %d: %w", len(groups), total, err)
+		return fmt.Errorf("wal: syncing %d group(s) of %d: %w", len(groups), total, err)
 	}
+	return nil
+}
+
+// frame encodes op and appends its framed record to the scratch buffer,
+// refusing a payload beyond maxRecordLen: such a frame would be written and
+// acknowledged but discarded as torn by the next Recover, taking every
+// later record with it.
+func (l *Log) frame(op Op) error {
+	l.payload = op.Encode(l.payload[:0])
+	if len(l.payload) > maxRecordLen {
+		return fmt.Errorf("%w: %s payload is %d bytes (max %d)", ErrRecordTooLarge, op.Kind, len(l.payload), maxRecordLen)
+	}
+	l.scratch = AppendRecord(l.scratch, l.payload)
 	return nil
 }
 

@@ -34,13 +34,14 @@
 //
 // # Batches
 //
-// AppendBatch journals several operations under one commit boundary: a
-// BatchBegin marker record followed by the member records, all issued as a
-// single Write and acknowledged by a single Sync (the group-commit
-// primitive). The framing is unchanged — each record keeps its own length
-// prefix and CRC — but recovery additionally discards a trailing group
-// whose members were cut off by a torn write: the group's sync never
-// completed, so it was never acknowledged, and a batch applies
+// AppendGroups journals groups of operations under one commit boundary,
+// all issued as a single Write and acknowledged by a single Sync (the
+// group-commit primitive). A group of one untokened operation is written
+// as its bare record; any other group is a BatchBegin marker record
+// followed by the member records. The framing is unchanged — each record
+// keeps its own length prefix and CRC — but recovery additionally discards
+// a trailing group whose members were cut off by a torn write: the group's
+// sync never completed, so it was never acknowledged, and a group applies
 // all-or-nothing.
 package wal
 

@@ -41,7 +41,7 @@ func sampleOps() []Op {
 		}}),
 		// The group-commit marker (an additive opcode: files without it
 		// decode unchanged). Count=2 covers the two records that follow.
-		BatchBegin(2),
+		BatchBegin(2, ""),
 		Insert(core.Statement{Sign: core.Pos, Tuple: core.Tuple{
 			Rel: "S", Vals: []val.Value{val.Str("k3"), val.Str("osprey")},
 		}}),
