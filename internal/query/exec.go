@@ -316,7 +316,7 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 		}
 	}
 	if src == nil {
-		src, err = planJoins(bindings, s.Where, rec)
+		src, err = planJoins(bindings, s.Where, liveExprs(s, items), rec)
 		if err != nil {
 			return nil, err
 		}
@@ -345,6 +345,20 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 		out.Rows = out.Rows[:s.Limit]
 	}
 	return out, nil
+}
+
+// liveExprs lists the expressions evaluated over the joined rows: the
+// (star-expanded) select list, GROUP BY and ORDER BY.
+func liveExprs(s sqlparser.Select, items []sqlparser.SelectItem) []sqlparser.Expr {
+	live := make([]sqlparser.Expr, 0, len(items)+len(s.GroupBy)+len(s.OrderBy))
+	for _, it := range items {
+		live = append(live, it.Expr)
+	}
+	live = append(live, s.GroupBy...)
+	for _, ob := range s.OrderBy {
+		live = append(live, ob.Expr)
+	}
+	return live
 }
 
 // expandStars replaces * and t.* items with explicit column references in

@@ -210,3 +210,61 @@ func cmpOp(a int64, op string, b int64) bool {
 	}
 	return false
 }
+
+// TestExplainRowsAfterResidual pins what EXPLAIN's rows mean for a join
+// step: the rows that survive the residuals the step applies in its probe.
+// The query has the shape of the Table 2 conflict and user queries: two
+// belief worlds reached over edge rows, joined on the key, and a residual
+// that keeps keys whose values disagree.
+func TestExplainRowsAfterResidual(t *testing.T) {
+	cat := engine.NewCatalog()
+	exec(t, cat, `
+		CREATE TABLE e (w1 INT, u INT, w2 INT);
+		CREATE TABLE v (w INT, k INT, s INT);
+		CREATE INDEX e_w1u ON e (w1, u);
+		CREATE INDEX v_wk ON v (w, k);
+	`)
+	// User u believes world u; world w states value val(w, k) for keys 0..9.
+	val := func(w, k int) int {
+		switch w {
+		case 3:
+			return k % 2
+		case 4:
+			return (k + 1) % 3
+		}
+		return k % 3
+	}
+	conflicts, disagree := 0, map[int]bool{}
+	for w := 1; w <= 4; w++ {
+		exec(t, cat, fmt.Sprintf("INSERT INTO e VALUES (0, %d, %d)", w, w))
+		for k := 0; k < 10; k++ {
+			exec(t, cat, fmt.Sprintf("INSERT INTO v VALUES (%d, %d, %d)", w, k, val(w, k)))
+			if val(w, k) != val(1, k) {
+				conflicts++
+				disagree[w] = true
+			}
+		}
+	}
+	const sql = `SELECT DISTINCT e2.u FROM e e1, v v1, e e2, v v2
+		WHERE e1.w1 = 0 AND e1.u = 1 AND v1.w = e1.w2
+		AND e2.w1 = 0 AND v2.w = e2.w2 AND v2.k = v1.k AND v2.s <> v1.s`
+
+	res := exec(t, cat, sql)
+	if len(res.Rows) != len(disagree) {
+		t.Fatalf("users in conflict = %v, want %d", rowsAsStrings(res), len(disagree))
+	}
+	plan := exec(t, cat, "EXPLAIN "+sql)
+	last := -1 // the step joining the later of v1 and v2 applies the residual
+	for i, r := range plan.Rows {
+		if b := r[0].AsString(); (b == "v1" || b == "v2") && strings.HasSuffix(r[1].AsString(), "join") {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatalf("no join step for v1/v2: %v", rowsAsStrings(plan))
+	}
+	if got := plan.Rows[last][3].AsInt(); got != int64(conflicts) {
+		t.Fatalf("EXPLAIN rows of the residual step %v = %d, want the %d conflicting keys (the equi-join alone yields 40)",
+			plan.Rows[last], got, conflicts)
+	}
+}

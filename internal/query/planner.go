@@ -566,11 +566,45 @@ func classifyWhere(where sqlparser.Expr, full relSchema, ctxs map[string]*tableC
 	return edges, residuals, constTrue, nil
 }
 
+// colNeeds is the set of columns a later pipeline stage can still read.
+// Qualified references are keyed by binding and name; unqualified ones by
+// name alone (empty rel).
+type colNeeds map[colID]bool
+
+// addRefs records every column reference in e.
+func (n colNeeds) addRefs(e sqlparser.Expr) {
+	switch ex := e.(type) {
+	case sqlparser.ColumnRef:
+		n[colID{rel: ex.Table, name: ex.Column}] = true
+	case sqlparser.BinaryExpr:
+		n.addRefs(ex.L)
+		n.addRefs(ex.R)
+	case sqlparser.UnaryExpr:
+		n.addRefs(ex.X)
+	case sqlparser.IsNull:
+		n.addRefs(ex.X)
+	case sqlparser.FuncCall:
+		for _, a := range ex.Args {
+			n.addRefs(a)
+		}
+	}
+}
+
+// keeps reports whether column c is live. An unqualified reference keeps
+// every same-named column, so relSchema.find on a pruned schema returns
+// the same column, or the same ambiguity error, as on the full schema.
+func (n colNeeds) keeps(c colID) bool {
+	return n[c] || n[colID{name: c.name}]
+}
+
 // planJoins materializes and joins all FROM bindings, applying pushdown,
-// join edges, and residual conjuncts. It returns the joined row set. When
+// join edges, and residual conjuncts. It returns the joined row set. live
+// holds the expressions evaluated after the join (select list, GROUP BY,
+// ORDER BY): each join step keeps only the columns these, the unconsumed
+// join edges and the residuals not yet applied can still reference. When
 // rec is non-nil every access-path and join decision is recorded for
 // EXPLAIN output.
-func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*rowSet, error) {
+func planJoins(bindings []binding, where sqlparser.Expr, live []sqlparser.Expr, rec *planRecorder) (*rowSet, error) {
 	ctxs, order, full, err := buildCtxs(bindings, rec)
 	if err != nil {
 		return nil, err
@@ -616,6 +650,53 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 	joined[start] = true
 	removeRemaining(start)
 
+	// joinStep joins binding a into cur over every unconsumed edge between
+	// a and the joined set. Residuals whose bindings are all joined once a
+	// joins run inside the probe; the output keeps only live columns.
+	joinStep := func(a string) error {
+		var active []*joinEdge
+		for _, e := range edges {
+			if !e.consumed && ((e.a == a && joined[e.b]) || (e.b == a && joined[e.a])) {
+				active = append(active, e)
+				e.consumed = true
+			}
+		}
+		joined[a] = true
+		removeRemaining(a)
+		var ready []sqlparser.Expr
+	nextResidual:
+		for _, r := range residuals {
+			if r.done {
+				continue
+			}
+			for ra := range r.refs {
+				if !joined[ra] {
+					continue nextResidual
+				}
+			}
+			ready = append(ready, r.expr)
+			r.done = true
+		}
+		need := colNeeds{}
+		for _, e := range live {
+			need.addRefs(e)
+		}
+		for _, e := range edges {
+			if !e.consumed {
+				need[colID{rel: e.a, name: e.aCol}] = true
+				need[colID{rel: e.b, name: e.bCol}] = true
+			}
+		}
+		for _, r := range residuals {
+			if !r.done {
+				need.addRefs(r.expr)
+			}
+		}
+		var err error
+		cur, err = joinNext(cur, ctxs[a], active, ready, need)
+		return err
+	}
+
 	// Eagerly fold in near-singleton tables (point lookups on constants):
 	// crossing with at most a couple of rows is free and seeds join edges
 	// that keep later fanouts bound — e.g. the E-chain anchors of
@@ -639,66 +720,14 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 			if ctxs[a].mat == nil || ctxs[a].estimate() > 2 {
 				continue
 			}
-			var active []*joinEdge
-			for _, e := range edges {
-				if e.consumed {
-					continue
-				}
-				if (e.a == a && joined[e.b]) || (e.b == a && joined[e.a]) {
-					active = append(active, e)
-					e.consumed = true
-				}
-			}
-			cur, err = joinNext(cur, ctxs[a], active)
-			if err != nil {
+			if err := joinStep(a); err != nil {
 				return nil, err
 			}
-			joined[a] = true
-			removeRemaining(a)
 			folded = true
 		}
 		if !folded {
 			break
 		}
-	}
-
-	applyResiduals := func(rs *rowSet) (*rowSet, error) {
-		for _, r := range residuals {
-			if r.done {
-				continue
-			}
-			ready := true
-			for a := range r.refs {
-				if !joined[a] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			p, err := compileExpr(r.expr, rs.schema)
-			if err != nil {
-				return nil, err
-			}
-			kept := rs.rows[:0:0]
-			for _, row := range rs.rows {
-				ok, err := truthy(p, row)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, row)
-				}
-			}
-			rs = &rowSet{schema: rs.schema, rows: kept}
-			r.done = true
-		}
-		return rs, nil
-	}
-	cur, err = applyResiduals(cur)
-	if err != nil {
-		return nil, err
 	}
 
 	// fanout estimates the per-left-row output of joining candidate a next:
@@ -772,25 +801,7 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 		} else {
 			next = pick(remaining)
 		}
-		// Collect the edges that join next to the current set.
-		var active []*joinEdge
-		for _, e := range edges {
-			if e.consumed {
-				continue
-			}
-			if (e.a == next && joined[e.b]) || (e.b == next && joined[e.a]) {
-				active = append(active, e)
-				e.consumed = true
-			}
-		}
-		cur, err = joinNext(cur, ctxs[next], active)
-		if err != nil {
-			return nil, err
-		}
-		joined[next] = true
-		removeRemaining(next)
-		cur, err = applyResiduals(cur)
-		if err != nil {
+		if err := joinStep(next); err != nil {
 			return nil, err
 		}
 	}
@@ -806,11 +817,59 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 // column position.
 type joinPair struct{ leftIdx, rightIdx int }
 
+// Slab chunks start small, so a point query allocates little, and double
+// per chunk up to slabMaxRows rows.
+const slabMinRows, slabMaxRows = 16, 1024
+
+// joinOut is the output side of one join step. Each candidate pair is
+// checked against the step's residuals on a reused scratch row before
+// anything is allocated; a surviving pair copies only the live columns
+// into a row cut from a chunked slab.
+type joinOut struct {
+	preds        []compiledExpr // compiled against cur.schema ++ tc.schema
+	scratch      []val.Value    // the concatenated candidate row, when preds exist
+	keepL, keepR []int          // live column offsets in the left and right rows
+	slab         []val.Value    // unused tail of the current chunk
+	chunk        int            // rows per chunk
+	rows         [][]val.Value
+}
+
+// emit tests the candidate pair (l, r) against the residuals and, when
+// every one holds, appends the pair's live columns as one output row.
+func (o *joinOut) emit(l, r []val.Value) error {
+	if len(o.preds) > 0 {
+		copy(o.scratch, l)
+		copy(o.scratch[len(l):], r)
+		for _, p := range o.preds {
+			ok, err := truthy(p, o.scratch)
+			if err != nil || !ok {
+				return err
+			}
+		}
+	}
+	n := len(o.keepL) + len(o.keepR)
+	if len(o.slab) < n {
+		o.chunk = min(max(2*o.chunk, slabMinRows), slabMaxRows)
+		o.slab = make([]val.Value, o.chunk*n)
+	}
+	row := o.slab[:n:n]
+	o.slab = o.slab[n:]
+	for i, c := range o.keepL {
+		row[i] = l[c]
+	}
+	for i, c := range o.keepR {
+		row[len(o.keepL)+i] = r[c]
+	}
+	o.rows = append(o.rows, row)
+	return nil
+}
+
 // joinNext joins the accumulated row set with one more base table using the
 // given equi-join edges: by index nested loop when the new table has a
 // matching index, otherwise by hash join (or cross product with no edges).
-func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
-	outSchema := append(append(relSchema{}, cur.schema...), tc.schema...)
+// The ready residuals filter inside the probe, and the output keeps only
+// the columns need marks live.
+func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge, ready []sqlparser.Expr, need colNeeds) (*rowSet, error) {
 	pairs := make([]joinPair, 0, len(edges))
 	sch := tc.b.table.Schema()
 	for _, e := range edges {
@@ -829,12 +888,34 @@ func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
 		pairs = append(pairs, joinPair{leftIdx: li, rightIdx: ri})
 	}
 
-	out := &rowSet{schema: outSchema}
-	emit := func(l, r []val.Value) {
-		row := make([]val.Value, 0, len(l)+len(r))
-		row = append(row, l...)
-		row = append(row, r...)
-		out.rows = append(out.rows, row)
+	in := append(append(relSchema{}, cur.schema...), tc.schema...)
+	o := &joinOut{}
+	for _, e := range ready {
+		p, err := compileExpr(e, in)
+		if err != nil {
+			return nil, err
+		}
+		o.preds = append(o.preds, p)
+	}
+	if len(o.preds) > 0 {
+		o.scratch = make([]val.Value, len(in))
+	}
+	out := &rowSet{}
+	for i, c := range in {
+		if !need.keeps(c) {
+			continue
+		}
+		out.schema = append(out.schema, c)
+		if i < len(cur.schema) {
+			o.keepL = append(o.keepL, i)
+		} else {
+			o.keepR = append(o.keepR, i-len(cur.schema))
+		}
+	}
+	done := func(op, detail string) (*rowSet, error) {
+		out.rows = o.rows
+		tc.rec.record(tc.b.alias, op, detail, len(out.rows))
+		return out, nil
 	}
 
 	if len(pairs) == 0 {
@@ -844,24 +925,24 @@ func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
 		}
 		for _, l := range cur.rows {
 			for _, r := range rs.rows {
-				emit(l, r)
+				if err := o.emit(l, r); err != nil {
+					return nil, err
+				}
 			}
 		}
-		tc.rec.record(tc.b.alias, "cross join", "", len(out.rows))
-		return out, nil
+		return done("cross join", "")
 	}
 
 	// Index nested-loop join: usable when the table has not yet been
 	// materialized and an index (or the primary key) covers a subset of the
 	// join/const columns.
 	if tc.mat == nil {
-		ok, detail, err := indexJoin(cur, tc, pairs, emit)
+		ok, detail, err := indexJoin(cur, tc, pairs, o.emit)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			tc.rec.record(tc.b.alias, "index join", detail, len(out.rows))
-			return out, nil
+			return done("index join", detail)
 		}
 	}
 
@@ -892,17 +973,18 @@ func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
 					continue probe
 				}
 			}
-			emit(l, r)
+			if err := o.emit(l, r); err != nil {
+				return nil, err
+			}
 		}
 	}
-	tc.rec.record(tc.b.alias, "hash join", "", len(out.rows))
-	return out, nil
+	return done("hash join", "")
 }
 
 // indexJoin attempts an index nested-loop join, calling emit for every
 // joined row pair; it reports ok=false when no suitable index exists. The
 // detail string names the probe structure for EXPLAIN.
-func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val.Value)) (bool, string, error) {
+func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val.Value) error) (bool, string, error) {
 	t := tc.b.table
 	sch := t.Schema()
 	joinCols := make(map[int]int) // right col -> left offset
@@ -922,24 +1004,20 @@ func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val
 		}
 		preds = append(preds, p)
 	}
-	checkEmit := func(l, r []val.Value) (bool, error) {
+	checkEmit := func(l, r []val.Value) error {
 		for _, p := range preds {
 			ok, err := truthy(p, r)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
+			if err != nil || !ok {
+				return err
 			}
 		}
 		// Verify join columns not covered by the index.
 		for _, pr := range pairs {
 			if !val.Equal(l[pr.leftIdx], r[pr.rightIdx]) {
-				return false, nil
+				return nil
 			}
 		}
-		emit(l, r)
-		return true, nil
+		return emit(l, r)
 	}
 
 	// Primary key join when the pk column participates in the join.
@@ -947,7 +1025,7 @@ func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val
 		if leftOff, ok := joinCols[pk]; ok {
 			for _, l := range cur.rows {
 				if id, found := t.LookupPK(l[leftOff]); found {
-					if _, err := checkEmit(l, t.Get(id)); err != nil {
+					if err := checkEmit(l, t.Get(id)); err != nil {
 						return false, "", err
 					}
 				}
@@ -993,7 +1071,7 @@ func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val
 			}
 		}
 		for _, id := range best.Lookup(vals) {
-			if _, err := checkEmit(l, t.Get(id)); err != nil {
+			if err := checkEmit(l, t.Get(id)); err != nil {
 				return false, "", err
 			}
 		}

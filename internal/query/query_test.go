@@ -358,46 +358,216 @@ func naiveJoin(tables [][][]val.Value, pred func(row []val.Value) bool) [][]val.
 	return out
 }
 
+// plannerCols names the columns of the three generated tables a(x, y),
+// b(u, v) and c(w, z), in naiveJoin row order. Names are unique across the
+// tables, so a query may leave any reference unqualified.
+var plannerCols = [6]struct{ rel, name string }{
+	{"a", "x"}, {"a", "y"}, {"b", "u"}, {"b", "v"}, {"c", "w"}, {"c", "z"},
+}
+
+// checkPlannerAgainstNaive builds a random three-table database and a
+// random join query from seed, runs it through the planner, and compares
+// the answer with naive cross-product evaluation. Optional indexes, an
+// optional primary key, edges and a disconnected table drive the
+// index-join, PK-join, hash-join and cross-join paths; a random projected
+// subset, COUNT(*) (no live column), DISTINCT and ORDER BY a non-projected
+// column with LIMIT drive column pruning; an OR residual spans all three
+// bindings.
+func checkPlannerAgainstNaive(seed int64) error {
+	r := rand.New(rand.NewSource(seed))
+	cat := engine.NewCatalog()
+	// c.w is sometimes a primary key (distinct values), for the PK join.
+	pk := r.Intn(3) == 0
+	setup := "CREATE TABLE a (x INT, y INT); CREATE TABLE b (u INT, v INT); CREATE TABLE c (w INT, z INT);"
+	if pk {
+		setup = strings.Replace(setup, "w INT", "w INT PRIMARY KEY", 1)
+	}
+	for _, idx := range []string{"CREATE INDEX a_x ON a (x);", "CREATE INDEX b_u ON b (u);", "CREATE INDEX c_w ON c (w);"} {
+		if r.Intn(2) == 0 {
+			setup += " " + idx
+		}
+	}
+	if _, err := execErr(cat, setup); err != nil {
+		return err
+	}
+	tables := make([][][]val.Value, 3)
+	for ti, name := range []string{"a", "b", "c"} {
+		for i, n := 0, r.Intn(8)+1; i < n; i++ {
+			p, q := int64(r.Intn(4)), int64(r.Intn(4))
+			if pk && name == "c" {
+				p = int64(i)
+			}
+			tables[ti] = append(tables[ti], []val.Value{val.Int(p), val.Int(q)})
+			if _, err := execErr(cat, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d)", name, p, q)); err != nil {
+				return err
+			}
+		}
+	}
+
+	ref := func(i int) string {
+		if r.Intn(2) == 0 {
+			return plannerCols[i].name
+		}
+		return plannerCols[i].rel + "." + plannerCols[i].name
+	}
+	var conds []string
+	var preds []func(row []val.Value) bool
+	eq := func(i, j int) {
+		conds = append(conds, ref(i)+" = "+ref(j))
+		preds = append(preds, func(row []val.Value) bool { return row[i].AsInt() == row[j].AsInt() })
+	}
+	if r.Intn(4) > 0 {
+		eq(0, 2) // a.x = b.u
+	}
+	switch r.Intn(3) {
+	case 0:
+		eq(3, 4) // b.v = c.w
+	case 1:
+		eq(1, 4) // a.y = c.w
+	} // else c joins by cross product
+	k1, k2, k3 := int64(r.Intn(4)), int64(r.Intn(4)), int64(r.Intn(4))
+	conds = append(conds, fmt.Sprintf("(%s > %d OR %s = %d OR %s < %d)", ref(1), k1, ref(3), k2, ref(5), k3))
+	preds = append(preds, func(row []val.Value) bool {
+		return row[1].AsInt() > k1 || row[3].AsInt() == k2 || row[5].AsInt() < k3
+	})
+	want := naiveJoin(tables, func(row []val.Value) bool {
+		for _, p := range preds {
+			if !p(row) {
+				return false
+			}
+		}
+		return true
+	})
+
+	// A random non-empty subset of the columns other than skip, in random order.
+	subset := func(skip int) []int {
+		var cols []int
+		for _, i := range r.Perm(6) {
+			if i != skip && (len(cols) == 0 || r.Intn(2) == 0) {
+				cols = append(cols, i)
+			}
+		}
+		return cols
+	}
+	refs := func(cols []int) string {
+		parts := make([]string, len(cols))
+		for i, c := range cols {
+			parts[i] = ref(c)
+		}
+		return strings.Join(parts, ", ")
+	}
+	project := func(rows [][]val.Value, cols []int) [][]val.Value {
+		out := make([][]val.Value, len(rows))
+		for i, row := range rows {
+			for _, c := range cols {
+				out[i] = append(out[i], row[c])
+			}
+		}
+		return out
+	}
+	where := " FROM a, b, c WHERE " + strings.Join(conds, " AND ")
+
+	var sql string
+	var check func(res *Result) bool
+	switch r.Intn(4) {
+	case 0:
+		cols := subset(-1)
+		sql = "SELECT " + refs(cols) + where
+		check = func(res *Result) bool { return multisetEqual(res.Rows, project(want, cols)) }
+	case 1:
+		sql = "SELECT COUNT(*)" + where
+		check = func(res *Result) bool {
+			return len(res.Rows) == 1 && res.Rows[0][0].AsInt() == int64(len(want))
+		}
+	case 2:
+		cols := subset(-1)
+		sql = "SELECT DISTINCT " + refs(cols) + where
+		seen := make(map[string]bool)
+		var distinct [][]val.Value
+		for _, row := range project(want, cols) {
+			if k := val.RowKey(row); !seen[k] {
+				seen[k] = true
+				distinct = append(distinct, row)
+			}
+		}
+		check = func(res *Result) bool { return multisetEqual(res.Rows, distinct) }
+	default:
+		// ORDER BY a column that is not projected, then by every projected
+		// column so that rows tied on the whole key are indistinguishable
+		// in the output and the expected order is exact.
+		key := r.Intn(6)
+		cols := subset(key)
+		desc := r.Intn(2) == 0
+		limit := r.Intn(10)
+		dir := ""
+		if desc {
+			dir = " DESC"
+		}
+		sql = fmt.Sprintf("SELECT %s%s ORDER BY %s%s, %s LIMIT %d", refs(cols), where, ref(key), dir, refs(cols), limit)
+		sorted := append([][]val.Value(nil), want...)
+		sort.SliceStable(sorted, func(i, j int) bool {
+			if c, _ := val.Compare(sorted[i][key], sorted[j][key]); c != 0 {
+				return (c < 0) != desc
+			}
+			for _, col := range cols {
+				if c, _ := val.Compare(sorted[i][col], sorted[j][col]); c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
+		if len(sorted) > limit {
+			sorted = sorted[:limit]
+		}
+		check = func(res *Result) bool {
+			exp := project(sorted, cols)
+			if len(res.Rows) != len(exp) {
+				return false
+			}
+			for i := range exp {
+				if val.RowKey(res.Rows[i]) != val.RowKey(exp[i]) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	res, err := execErr(cat, sql)
+	if err != nil {
+		return fmt.Errorf("seed %d: %s: %v", seed, sql, err)
+	}
+	if !check(res) {
+		return fmt.Errorf("seed %d: %s: planner returned %d rows %v, naive evaluation disagrees", seed, sql, len(res.Rows), rowsAsStrings(res))
+	}
+	return nil
+}
+
 // Property: for random small databases and random equi-join + filter
 // queries, the planner agrees with naive cross-product evaluation.
 func TestQuickPlannerAgainstNaive(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		cat := engine.NewCatalog()
-		na := r.Intn(12) + 1
-		nb := r.Intn(12) + 1
-		sqlSetup := "CREATE TABLE a (x INT, y INT); CREATE TABLE b (u INT, v INT);"
-		if r.Intn(2) == 0 {
-			sqlSetup += " CREATE INDEX b_u ON b (u);"
+		if err := checkPlannerAgainstNaive(seed); err != nil {
+			t.Log(err)
+			return false
 		}
-		if _, err := execErr(cat, sqlSetup); err != nil {
-			t.Fatal(err)
-		}
-		var aRows, bRows [][]val.Value
-		for i := 0; i < na; i++ {
-			x, y := int64(r.Intn(4)), int64(r.Intn(4))
-			aRows = append(aRows, []val.Value{val.Int(x), val.Int(y)})
-			execMust(cat, fmt.Sprintf("INSERT INTO a VALUES (%d, %d)", x, y))
-		}
-		for i := 0; i < nb; i++ {
-			u, v := int64(r.Intn(4)), int64(r.Intn(4))
-			bRows = append(bRows, []val.Value{val.Int(u), val.Int(v)})
-			execMust(cat, fmt.Sprintf("INSERT INTO b VALUES (%d, %d)", u, v))
-		}
-		c := int64(r.Intn(4))
-		sql := fmt.Sprintf("SELECT a.x, a.y, b.u, b.v FROM a, b WHERE a.x = b.u AND (a.y > %d OR b.v = %d)", c, c)
-		res, err := execErr(cat, sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveJoin([][][]val.Value{aRows, bRows}, func(row []val.Value) bool {
-			return row[0].AsInt() == row[2].AsInt() && (row[1].AsInt() > c || row[3].AsInt() == c)
-		})
-		return multisetEqual(res.Rows, want)
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzPlannerAgainstNaive drives the same generator as
+// TestQuickPlannerAgainstNaive from a fuzzed seed.
+func FuzzPlannerAgainstNaive(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42, 1009, -3, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := checkPlannerAgainstNaive(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func execMust(cat *engine.Catalog, sql string) {
