@@ -79,6 +79,21 @@ type Explain struct {
 
 func (Select) beliefStmt()  {}
 func (Explain) beliefStmt() {}
-func (Insert) beliefStmt() {}
-func (Delete) beliefStmt() {}
-func (Update) beliefStmt() {}
+func (Insert) beliefStmt()  {}
+func (Delete) beliefStmt()  {}
+func (Update) beliefStmt()  {}
+
+// ReadOnly reports whether every statement is a read: SELECT or EXPLAIN
+// (which only plans a SELECT). It is the one classifier behind every
+// read-only gate — a replica's query path, a sharded server's Exec path and
+// the router's read routing — so the gates cannot disagree.
+func ReadOnly(stmts []Statement) bool {
+	for _, st := range stmts {
+		switch st.(type) {
+		case Select, Explain:
+		default:
+			return false
+		}
+	}
+	return true
+}

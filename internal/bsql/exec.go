@@ -169,14 +169,17 @@ func (tr *Translator) targetPathSign(ref BeliefRef) (core.Path, core.Sign, error
 	return p, sign, nil
 }
 
-// constValue folds a VALUES expression to a constant.
-func constValue(e sqlparser.Expr) (val.Value, error) {
+// ConstValue folds a VALUES expression to a constant: a literal, or a
+// negated numeric literal. The batch compiler and the router's INSERT
+// partitioning both fold keys through it, so the router and the shard's
+// owner check hash identical key values.
+func ConstValue(e sqlparser.Expr) (val.Value, error) {
 	switch ex := e.(type) {
 	case sqlparser.Literal:
 		return ex.Val, nil
 	case sqlparser.UnaryExpr:
 		if ex.Op == "-" {
-			v, err := constValue(ex.X)
+			v, err := ConstValue(ex.X)
 			if err != nil {
 				return val.Null(), err
 			}
@@ -210,7 +213,7 @@ func (tr *Translator) insertOps(ins Insert) ([]wal.Op, error) {
 		}
 		vals := make([]val.Value, len(row))
 		for i, e := range row {
-			v, err := constValue(e)
+			v, err := ConstValue(e)
 			if err != nil {
 				return nil, err
 			}

@@ -677,12 +677,12 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 	type group struct {
 		key  []val.Value // group-key values, for collision verification
 		rep  []val.Value // representative source row
-		accs []*aggAcc
+		accs []*AggAcc
 	}
 	newGroup := func(key, row []val.Value) *group {
-		g := &group{key: key, rep: row, accs: make([]*aggAcc, len(specs))}
+		g := &group{key: key, rep: row, accs: make([]*AggAcc, len(specs))}
 		for i := range specs {
-			g.accs[i] = &aggAcc{}
+			g.accs[i] = &AggAcc{}
 		}
 		return g
 	}
@@ -717,14 +717,14 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 		}
 		for i, spec := range specs {
 			if spec.star {
-				g.accs[i].addCount()
+				g.accs[i].AddCount()
 				continue
 			}
 			v, err := spec.arg(row)
 			if err != nil {
 				return nil, err
 			}
-			if err := g.accs[i].add(spec.fn, v); err != nil {
+			if err := g.accs[i].Add(spec.fn, v); err != nil {
 				return nil, err
 			}
 		}
@@ -738,7 +738,7 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 	for _, g := range ordered {
 		ctx.vals = make([]val.Value, len(specs))
 		for i, spec := range specs {
-			ctx.vals[i] = g.accs[i].result(spec.fn)
+			ctx.vals[i] = g.accs[i].Result(spec.fn)
 		}
 		o := make([]val.Value, len(itemEvals))
 		for i, ce := range itemEvals {
@@ -753,8 +753,13 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 	return out, nil
 }
 
-// aggAcc accumulates one aggregate over one group.
-type aggAcc struct {
+// AggAcc accumulates one aggregate — COUNT, SUM, MIN, MAX or AVG, named in
+// upper case — over one group. The executor feeds it source values (Add,
+// AddCount); the scatter-gather merge (internal/router) feeds it each
+// shard's partial values (AddPartial). Both finalize through Result, so a
+// merged aggregate follows the single node's NULL, integer/float and
+// comparison rules by construction.
+type AggAcc struct {
 	count   int64
 	sumI    int64
 	sumF    float64
@@ -764,28 +769,20 @@ type aggAcc struct {
 	seen    bool
 }
 
-func (a *aggAcc) addCount() { a.count++ }
+// AddCount counts one row for COUNT(*).
+func (a *AggAcc) AddCount() { a.count++ }
 
-func (a *aggAcc) add(fn string, v val.Value) error {
+// Add folds one source value; NULLs are ignored by aggregates.
+func (a *AggAcc) Add(fn string, v val.Value) error {
 	if v.IsNull() {
-		return nil // NULLs are ignored by aggregates
+		return nil
 	}
 	a.count++
 	switch fn {
 	case "COUNT":
 		return nil
 	case "SUM", "AVG":
-		switch v.Kind() {
-		case val.KindInt:
-			a.sumI += v.AsInt()
-			a.sumF += float64(v.AsInt())
-		case val.KindFloat:
-			a.isFloat = true
-			a.sumF += v.AsFloat()
-		default:
-			return fmt.Errorf("query: %s over %s", fn, v.Kind())
-		}
-		return nil
+		return a.addSum(fn, v)
 	case "MIN", "MAX":
 		if !a.seen {
 			a.minV, a.maxV, a.seen = v, v, true
@@ -802,7 +799,62 @@ func (a *aggAcc) add(fn string, v val.Value) error {
 	return fmt.Errorf("query: unknown aggregate %s", fn)
 }
 
-func (a *aggAcc) result(fn string) val.Value {
+// addSum adds a non-NULL value to the running sum, which stays integral
+// until a float joins.
+func (a *AggAcc) addSum(fn string, v val.Value) error {
+	switch v.Kind() {
+	case val.KindInt:
+		a.sumI += v.AsInt()
+		a.sumF += float64(v.AsInt())
+	case val.KindFloat:
+		a.isFloat = true
+		a.sumF += v.AsFloat()
+	default:
+		return fmt.Errorf("query: %s over %s", fn, v.Kind())
+	}
+	return nil
+}
+
+// PartialCalls returns the aggregate calls one shard runs for call so that
+// AddPartial can fold their results across shards: AVG(x) runs as SUM(x)
+// and COUNT(x), every other aggregate runs as itself.
+func PartialCalls(call sqlparser.FuncCall) []sqlparser.FuncCall {
+	if strings.EqualFold(call.Name, "AVG") {
+		return []sqlparser.FuncCall{{Name: "SUM", Args: call.Args}, {Name: "COUNT", Args: call.Args}}
+	}
+	return []sqlparser.FuncCall{call}
+}
+
+// AddPartial folds one shard's results of PartialCalls for aggregate fn:
+// COUNT adds the shard's count; SUM, MIN and MAX fold the shard's value
+// through Add (a shard with no non-NULL input reports NULL, which Add
+// skips); AVG adds the shard's sum and its count.
+func (a *AggAcc) AddPartial(fn string, parts []val.Value) error {
+	switch fn {
+	case "COUNT":
+		return a.addCountPartial(parts[0])
+	case "AVG":
+		if !parts[0].IsNull() {
+			if err := a.addSum(fn, parts[0]); err != nil {
+				return err
+			}
+		}
+		return a.addCountPartial(parts[1])
+	}
+	return a.Add(fn, parts[0])
+}
+
+func (a *AggAcc) addCountPartial(v val.Value) error {
+	if v.Kind() != val.KindInt {
+		return fmt.Errorf("query: COUNT partial of kind %s", v.Kind())
+	}
+	a.count += v.AsInt()
+	return nil
+}
+
+// Result finalizes the aggregate: COUNT of nothing is 0, every other
+// aggregate of nothing is NULL, and AVG is always a float.
+func (a *AggAcc) Result(fn string) val.Value {
 	switch fn {
 	case "COUNT":
 		return val.Int(a.count)

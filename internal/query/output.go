@@ -9,8 +9,9 @@ import (
 
 // This file exports the pieces of the executor's post-processing pipeline
 // that the scatter-gather merge (internal/router) reuses, so cross-shard
-// DISTINCT, ORDER BY and aggregate recombination behave byte-for-byte like
-// the single-node stages they mirror.
+// DISTINCT and ORDER BY are the single-node stages themselves. The
+// aggregate accumulator the merge shares (AggAcc) sits beside the
+// executor's aggregate operator in exec.go.
 
 // DedupeRows removes duplicate rows, keeping first occurrences in order:
 // the hash-bucketed machinery behind SELECT DISTINCT (rows that hash

@@ -16,22 +16,18 @@ import (
 // simply run on every shard — COUNT of a group split across shards must
 // add the per-shard counts, AVG must recombine sums and counts — so the
 // router rewrites it into a partial-aggregate query (group expressions
-// aliased __g<i>, aggregate calls decomposed into combinable partials
-// aliased __a<j>), folds the per-shard partials by group key, and then
-// re-evaluates the original select items over the folded values.
-//
-// The fold mirrors the engine's aggregate accumulator (internal/query's
-// aggAcc) exactly: NULLs are skipped, SUM stays integral until a float
-// joins, MIN/MAX compare with val.Compare, AVG divides the recombined sum
-// by the recombined non-NULL count — so a merged result matches a single
-// node's byte for byte.
+// aliased __g<i>, each aggregate call replaced by the partial calls
+// query.PartialCalls names, aliased __a<j>), folds the per-shard partials
+// by group key into the engine's own accumulator (query.AggAcc), and then
+// re-evaluates the original select items over the finalized values.
 
 // aggSpec is one distinct aggregate call of the original query and where
 // its partials land in the scatter query's output row.
 type aggSpec struct {
-	fn   string             // COUNT, SUM, MIN, MAX, AVG (upper-cased)
-	call sqlparser.FuncCall // the original call
-	pos  int                // first partial column (AVG occupies pos and pos+1)
+	fn    string             // COUNT, SUM, MIN, MAX, AVG (upper-cased)
+	call  sqlparser.FuncCall // the original call
+	pos   int                // first partial column
+	width int                // partial columns: len(query.PartialCalls(call))
 }
 
 // aggPlan is a scattered aggregate query: the rewritten per-shard text and
@@ -72,8 +68,8 @@ func planAggregate(sel bsql.Select) (*aggPlan, error) {
 		p.outCols[i] = query.ItemName(it)
 	}
 
-	// Scatter select list: the group expressions, then one partial (or an
-	// AVG's sum/count pair) per distinct aggregate call.
+	// Scatter select list: the group expressions, then the partial calls of
+	// each distinct aggregate call.
 	items := make([]sqlparser.SelectItem, 0, p.groupW+len(p.specs)+1)
 	for i, g := range sel.GroupBy {
 		items = append(items, sqlparser.SelectItem{Expr: g, Alias: fmt.Sprintf("__g%d", i)})
@@ -81,17 +77,16 @@ func planAggregate(sel bsql.Select) (*aggPlan, error) {
 	pos := p.groupW
 	for j := range p.specs {
 		sp := &p.specs[j]
-		sp.pos = pos
-		switch sp.fn {
-		case "AVG":
-			items = append(items,
-				sqlparser.SelectItem{Expr: sqlparser.FuncCall{Name: "SUM", Args: sp.call.Args}, Alias: fmt.Sprintf("__a%ds", j)},
-				sqlparser.SelectItem{Expr: sqlparser.FuncCall{Name: "COUNT", Args: sp.call.Args}, Alias: fmt.Sprintf("__a%dc", j)})
-			pos += 2
-		default:
-			items = append(items, sqlparser.SelectItem{Expr: sp.call, Alias: fmt.Sprintf("__a%d", j)})
-			pos++
+		parts := query.PartialCalls(sp.call)
+		sp.pos, sp.width = pos, len(parts)
+		for k, pc := range parts {
+			alias := fmt.Sprintf("__a%d", j)
+			if len(parts) > 1 {
+				alias += fmt.Sprintf("_%d", k)
+			}
+			items = append(items, sqlparser.SelectItem{Expr: pc, Alias: alias})
 		}
+		pos += len(parts)
 	}
 	p.scatterW = pos
 	p.scatterText = bsql.RenderSelect(bsql.Select{
@@ -185,112 +180,6 @@ func (p *aggPlan) register(fc sqlparser.FuncCall) (int, error) {
 	return len(p.specs) - 1, nil
 }
 
-// mergeAcc folds one aggregate's per-shard partials for one group, with
-// the engine accumulator's exact semantics.
-type mergeAcc struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	sumSeen bool
-	minV    val.Value
-	maxV    val.Value
-	mmSeen  bool
-}
-
-func (a *mergeAcc) addSum(v val.Value) error {
-	if v.IsNull() {
-		return nil // a shard with no non-NULL inputs reports a NULL partial
-	}
-	a.sumSeen = true
-	switch v.Kind() {
-	case val.KindInt:
-		a.sumI += v.AsInt()
-		a.sumF += float64(v.AsInt())
-	case val.KindFloat:
-		a.isFloat = true
-		a.sumF += v.AsFloat()
-	default:
-		return fmt.Errorf("router: SUM partial of kind %s", v.Kind())
-	}
-	return nil
-}
-
-func (a *mergeAcc) addCount(v val.Value) error {
-	if v.Kind() != val.KindInt {
-		return fmt.Errorf("router: COUNT partial of kind %s", v.Kind())
-	}
-	a.count += v.AsInt()
-	return nil
-}
-
-func (a *mergeAcc) addMinMax(v val.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !a.mmSeen {
-		a.minV, a.maxV, a.mmSeen = v, v, true
-		return
-	}
-	if cmp, ok := val.Compare(v, a.minV); ok && cmp < 0 {
-		a.minV = v
-	}
-	if cmp, ok := val.Compare(v, a.maxV); ok && cmp > 0 {
-		a.maxV = v
-	}
-}
-
-// fold absorbs one scatter row's partials for this spec.
-func (a *mergeAcc) fold(sp aggSpec, row []val.Value) error {
-	switch sp.fn {
-	case "COUNT":
-		return a.addCount(row[sp.pos])
-	case "SUM":
-		return a.addSum(row[sp.pos])
-	case "MIN", "MAX":
-		a.addMinMax(row[sp.pos])
-		return nil
-	case "AVG":
-		if err := a.addSum(row[sp.pos]); err != nil {
-			return err
-		}
-		return a.addCount(row[sp.pos+1])
-	}
-	return fmt.Errorf("router: unknown aggregate %s", sp.fn)
-}
-
-// result finalizes the folded aggregate, mirroring the engine's aggAcc.
-func (a *mergeAcc) result(fn string) val.Value {
-	switch fn {
-	case "COUNT":
-		return val.Int(a.count)
-	case "SUM":
-		if !a.sumSeen {
-			return val.Null()
-		}
-		if a.isFloat {
-			return val.Float(a.sumF)
-		}
-		return val.Int(a.sumI)
-	case "AVG":
-		if a.count == 0 {
-			return val.Null()
-		}
-		return val.Float(a.sumF / float64(a.count))
-	case "MIN":
-		if !a.mmSeen {
-			return val.Null()
-		}
-		return a.minV
-	case "MAX":
-		if !a.mmSeen {
-			return val.Null()
-		}
-		return a.maxV
-	}
-	return val.Null()
-}
-
 // runAggregate scatters an aggregated query as partial aggregates and
 // merges: fold partials by group key, finalize, re-evaluate the original
 // select items over the folded values, then ORDER BY and LIMIT.
@@ -309,10 +198,10 @@ func (r *Router) runAggregate(ctx context.Context, sel bsql.Select) (*client.Res
 func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 	type group struct {
 		key  []val.Value
-		accs []mergeAcc
+		accs []query.AggAcc
 	}
 	newGroup := func(key []val.Value) *group {
-		return &group{key: key, accs: make([]mergeAcc, len(p.specs))}
+		return &group{key: key, accs: make([]query.AggAcc, len(p.specs))}
 	}
 	// Groups hash-bucket by composite key hash with real-equality
 	// verification, like the engine's aggregate operator; output order is
@@ -342,7 +231,7 @@ func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 				ordered = append(ordered, g)
 			}
 			for j, sp := range p.specs {
-				if err := g.accs[j].fold(sp, row); err != nil {
+				if err := g.accs[j].AddPartial(sp.fn, row[sp.pos:sp.pos+sp.width]); err != nil {
 					return nil, err
 				}
 			}
@@ -350,7 +239,7 @@ func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 	}
 	// A global aggregate still yields one row over an empty cluster (each
 	// shard already answers one partial row, so this only guards a cluster
-	// of zero responding shards — kept for parity with the engine).
+	// of zero responding shards, as the engine guards zero rows).
 	if p.groupW == 0 && len(ordered) == 0 {
 		ordered = append(ordered, newGroup(nil))
 	}
@@ -377,7 +266,7 @@ func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 		folded := make([]val.Value, 0, len(cols))
 		folded = append(folded, g.key...)
 		for j := range p.specs {
-			folded = append(folded, g.accs[j].result(p.specs[j].fn))
+			folded = append(folded, g.accs[j].Result(p.specs[j].fn))
 		}
 		out := make([]val.Value, len(evals))
 		for i, ce := range evals {

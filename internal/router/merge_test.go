@@ -218,11 +218,11 @@ func TestConstKeyMatchesBatchFolding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := st.(bsql.Insert)
-	v, err := constKey(ins.Rows[0][0])
+	v, err := bsql.ConstValue(ins.Rows[0][0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Kind() != val.KindInt || v.AsInt() != -3 {
-		t.Errorf("constKey(-3) = %v", v)
+		t.Errorf("bsql.ConstValue(-3) = %v", v)
 	}
 }

@@ -3,7 +3,10 @@
 // protocol as a beliefserver — clients cannot tell the difference except
 // for the ShardID -1 it announces — and fronts N shard servers, each of
 // which owns the row keys that hash to it under the cluster's partition
-// map (internal/shard) and may bring its own read replicas.
+// map (internal/shard) and may bring its own read replicas. Its connection
+// lifecycle (handshake, request loop, result streaming, Shutdown drain) is
+// internal/frontend's, the same as beliefserver's; the router supplies its
+// handshake answer and its per-request routing.
 //
 // Requests route as follows:
 //
@@ -16,9 +19,10 @@
 //   - Queries over one partitioned relation fan out to every shard and the
 //     streamed results merge: concatenation plus a global DISTINCT pass
 //     for per-tuple results, partial-aggregate recombination for GROUP BY
-//     and aggregate queries, then ORDER BY/LIMIT — reusing the query
-//     layer's own post-processing (query.DedupeRows, query.SortRows) so
-//     the merged answer matches a single node's byte for byte.
+//     and aggregate queries, then ORDER BY/LIMIT. The merge calls the
+//     query layer's own code — query.DedupeRows, query.SortRows, and the
+//     engine's aggregate accumulator query.AggAcc with its partial rule
+//     query.PartialCalls — so the merged answer is a single node's.
 //   - Queries touching no partitioned relation (Users only, EXPLAIN) go to
 //     shard 0 alone.
 //   - AddUser broadcasts to every shard under one router-wide mutex, so
@@ -42,20 +46,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"beliefdb/client"
 	"beliefdb/internal/bsql"
+	"beliefdb/internal/frontend"
 	"beliefdb/internal/shard"
 	"beliefdb/internal/wire"
 )
-
-// rowChunkSize bounds how many merged result rows travel in one RowChunk
-// frame, matching the server's streaming bound.
-const rowChunkSize = 256
 
 // A Backend names one shard: its primary server and any read replicas.
 type Backend struct {
@@ -66,25 +66,19 @@ type Backend struct {
 // A Router fronts a sharded cluster. Create with New, start with Serve,
 // stop with Shutdown (which also closes the shard connections).
 type Router struct {
+	// svc runs the connection lifecycle (shared with beliefserver) and
+	// carries the frame and request-timeout settings.
+	svc    *frontend.Service
 	shards []*client.Routed
 	smap   shard.Map
 
-	info       string
-	maxFrame   int
-	reqTimeout time.Duration
-	copts      []client.Options
+	info  string
+	copts []client.Options
 
 	// userMu serializes AddUser broadcasts: every shard sees registrations
 	// in the same order, so the replicated Users table assigns identical
 	// uids cluster-wide.
 	userMu sync.Mutex
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	shutdown bool
-	stop     chan struct{}
-	handlers sync.WaitGroup
 }
 
 // Option configures a Router.
@@ -98,7 +92,7 @@ func WithInfo(info string) Option { return func(r *Router) { r.info = info } }
 func WithMaxFrame(n int) Option {
 	return func(r *Router) {
 		if n > 0 {
-			r.maxFrame = n
+			r.svc.MaxFrame = n
 		}
 	}
 }
@@ -108,7 +102,7 @@ func WithMaxFrame(n int) Option {
 func WithRequestTimeout(d time.Duration) Option {
 	return func(r *Router) {
 		if d > 0 {
-			r.reqTimeout = d
+			r.svc.ReqTimeout = d
 		}
 	}
 }
@@ -128,12 +122,8 @@ func New(backends []Backend, opts ...Option) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("router: no shard backends configured")
 	}
-	r := &Router{
-		info:     "beliefrouter",
-		maxFrame: wire.DefaultMaxFrame,
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
-	}
+	r := &Router{info: "beliefrouter"}
+	r.svc = frontend.New(r.serveRequest)
 	for _, o := range opts {
 		o(r)
 	}
@@ -164,6 +154,10 @@ func New(backends []Backend, opts ...Option) (*Router, error) {
 			return nil, fmt.Errorf("router: server at %s uses partition seed %#x, shard 0 uses %#x", b.Primary, si.Seed, r.smap.Seed)
 		}
 	}
+	r.svc.Hello = wire.ServerHello(r.info)
+	r.svc.Hello.ShardID = -1 // a router fronts the cluster, it is no shard itself
+	r.svc.Hello.ShardCount = uint64(r.smap.Count)
+	r.svc.Hello.ShardSeed = r.smap.Seed
 	return r, nil
 }
 
@@ -182,177 +176,15 @@ func (r *Router) closeShards() {
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
 // or a listener failure. Each connection is handled on its own goroutine.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.shutdown {
-		r.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("router: Serve after Shutdown")
-	}
-	if r.ln != nil {
-		r.mu.Unlock()
-		return fmt.Errorf("router: already serving")
-	}
-	r.ln = ln
-	r.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.shuttingDown() {
-				return nil
-			}
-			return fmt.Errorf("router: accept: %w", err)
-		}
-		if !r.track(conn) {
-			conn.Close() // raced Shutdown; refuse quietly
-			continue
-		}
-		go func() {
-			defer r.handlers.Done()
-			defer r.untrack(conn)
-			r.handle(conn)
-		}()
-	}
-}
-
-func (r *Router) track(conn net.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shutdown {
-		return false
-	}
-	r.conns[conn] = struct{}{}
-	r.handlers.Add(1)
-	return true
-}
-
-func (r *Router) untrack(conn net.Conn) {
-	r.mu.Lock()
-	delete(r.conns, conn)
-	r.mu.Unlock()
-	conn.Close()
-}
-
-func (r *Router) shuttingDown() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shutdown
-}
+func (r *Router) Serve(ln net.Listener) error { return r.svc.Serve(ln) }
 
 // Shutdown stops the router gracefully — close the listener, interrupt
 // idle connections, drain handlers mid-request (force-closing them if ctx
 // expires first) — and then closes the shard connections.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if !r.shutdown {
-		close(r.stop)
-	}
-	r.shutdown = true
-	ln := r.ln
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.handlers.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		r.mu.Lock()
-		for c := range r.conns {
-			c.Close()
-		}
-		r.mu.Unlock()
-		<-done
-		err = ctx.Err()
-	}
+	err := r.svc.Shutdown(ctx)
 	r.closeShards()
 	return err
-}
-
-// handle runs one connection: handshake, then the request loop, mirroring
-// the server's connection lifecycle (see internal/server).
-func (r *Router) handle(conn net.Conn) {
-	bw := bufio.NewWriter(conn)
-	rd := wire.NewReader(bufio.NewReader(conn), r.maxFrame)
-	w := wire.NewWriter(bw, r.maxFrame)
-
-	hello, err := rd.Read()
-	if err != nil {
-		r.abort(w, bw, err)
-		return
-	}
-	if hello.Kind != wire.KindHello {
-		w.Write(wire.Errorf("router: expected Hello, got %s", hello.Kind))
-		bw.Flush()
-		return
-	}
-	if hello.Version != wire.ProtoVersion {
-		w.Write(wire.Errorf("router: protocol version %d not supported (router speaks %d)",
-			hello.Version, wire.ProtoVersion))
-		bw.Flush()
-		return
-	}
-	sh := wire.ServerHello(r.info)
-	sh.ShardID = -1 // a router fronts the cluster, it is no shard itself
-	sh.ShardCount = uint64(r.smap.Count)
-	sh.ShardSeed = r.smap.Seed
-	if err := w.Write(sh); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-
-	for {
-		req, err := rd.Read()
-		if err != nil {
-			r.abort(w, bw, err)
-			return
-		}
-		if r.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(r.reqTimeout))
-		}
-		if err := r.serveRequest(w, req); err != nil {
-			bw.Flush()
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if r.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if r.shuttingDown() {
-			return // drained the request that was already in flight
-		}
-	}
-}
-
-func (r *Router) abort(w *wire.Writer, bw *bufio.Writer, err error) {
-	if err == io.EOF || r.shuttingDown() {
-		return
-	}
-	var netErr net.Error
-	if errors.As(err, &netErr) && netErr.Timeout() {
-		return
-	}
-	w.Write(wire.Errorf("router: dropping connection: %v", err))
-	bw.Flush()
 }
 
 // classify maps a routing failure to its stable wire error code. Failures
@@ -382,54 +214,48 @@ func errFrame(err error) wire.Msg {
 
 // reqContext bounds one routed request's backend fan-out.
 func (r *Router) reqContext() (context.Context, context.CancelFunc) {
-	if r.reqTimeout > 0 {
-		return context.WithTimeout(context.Background(), r.reqTimeout)
+	if r.svc.ReqTimeout > 0 {
+		return context.WithTimeout(context.Background(), r.svc.ReqTimeout)
 	}
 	return context.Background(), func() {}
 }
 
-// serveRequest answers one request; the returned error reports a failure
-// to write the response (fatal for the connection). A panicking handler is
-// converted into an internal-error response and that connection's demise.
-func (r *Router) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			w.Write(wire.ErrorMsg(wire.CodeInternal, fmt.Sprintf("router: internal error serving %s: %v", req.Kind, p)))
-			err = fmt.Errorf("router: panic serving %s: %v", req.Kind, p)
-		}
-	}()
+// serveRequest answers one request (the frontend.Dispatch of a router);
+// the returned error reports a failure to write the response (fatal for
+// the connection).
+func (r *Router) serveRequest(w *wire.Writer, _ *bufio.Writer, req wire.Msg) error {
 	ctx, cancel := r.reqContext()
 	defer cancel()
 	switch req.Kind {
-	case wire.KindQuery:
-		res, err := r.runReadScript(ctx, req.Text)
-		if err != nil {
-			return w.Write(errFrame(err))
-		}
-		return r.writeResult(w, res)
-
-	case wire.KindExec:
+	case wire.KindQuery, wire.KindExec:
 		stmts, err := bsql.ParseAll(req.Text)
 		if err != nil {
 			return w.Write(errFrame(err))
 		}
-		if readOnlyStmts(stmts) {
+		if bsql.ReadOnly(stmts) {
 			res, err := r.runReadStmts(ctx, stmts)
 			if err != nil {
 				return w.Write(errFrame(err))
 			}
-			return r.writeResult(w, res)
+			return r.svc.WriteResult(w, res, 0, 0)
+		}
+		if req.Kind == wire.KindQuery {
+			return w.Write(errFrame(errors.New("router: Query accepts only SELECT/EXPLAIN statements; route writes through Exec or ExecBatch")))
 		}
 		// A mutating Exec routes like an untokened batch; the statements
 		// must all be batchable (INSERT/DELETE) for the split to apply.
-		br, err := r.routeBatchStmts(ctx, stmts, "")
+		br, err := r.routeBatch(ctx, stmts, "")
 		if err != nil {
 			return w.Write(errFrame(err))
 		}
 		return w.Write(wire.Msg{Kind: wire.KindResultEnd, Affected: uint64(br.Applied)})
 
 	case wire.KindExecBatch:
-		br, err := r.routeBatch(ctx, req.Text, req.Token)
+		stmts, err := bsql.ParseAll(req.Text)
+		if err != nil {
+			return w.Write(errFrame(err))
+		}
+		br, err := r.routeBatch(ctx, stmts, req.Token)
 		if err != nil {
 			return w.Write(errFrame(err))
 		}
@@ -470,75 +296,8 @@ func (r *Router) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 	}
 }
 
-// writeResult streams one merged query result, chunked exactly like the
-// server's (row-count and encoded-byte bounds per frame).
-func (r *Router) writeResult(w *wire.Writer, res *client.Result) error {
-	affected := uint64(0)
-	if res != nil {
-		affected = uint64(res.Affected)
-	}
-	if res != nil && len(res.Columns) > 0 {
-		if err := w.Write(wire.Msg{Kind: wire.KindRowHeader, Cols: res.Columns}); err != nil {
-			return err
-		}
-		budget := r.maxFrame - r.maxFrame/8
-		start, bytes := 0, 0
-		flush := func(end int) error {
-			if end == start {
-				return nil
-			}
-			err := w.Write(wire.Msg{Kind: wire.KindRowChunk, Rows: res.Rows[start:end]})
-			start, bytes = end, 0
-			return err
-		}
-		for i, row := range res.Rows {
-			sz := wire.RowSize(row)
-			if sz > budget {
-				return w.Write(wire.Errorf("router: result row %d encodes to %d bytes, beyond the %d-byte frame limit", i, sz, r.maxFrame))
-			}
-			if bytes+sz > budget {
-				if err := flush(i); err != nil {
-					return err
-				}
-			}
-			bytes += sz
-			if i-start+1 >= rowChunkSize {
-				if err := flush(i + 1); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(len(res.Rows)); err != nil {
-			return err
-		}
-	}
-	return w.Write(wire.Msg{Kind: wire.KindResultEnd, Affected: affected})
-}
-
-func readOnlyStmts(stmts []bsql.Statement) bool {
-	for _, st := range stmts {
-		switch st.(type) {
-		case bsql.Select, bsql.Explain:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// runReadScript parses and runs a read-only script, returning the last
-// statement's result (like DB.ExecScript).
-func (r *Router) runReadScript(ctx context.Context, script string) (*client.Result, error) {
-	stmts, err := bsql.ParseAll(script)
-	if err != nil {
-		return nil, err
-	}
-	if !readOnlyStmts(stmts) {
-		return nil, fmt.Errorf("router: Query accepts only SELECT/EXPLAIN statements; route writes through Exec or ExecBatch")
-	}
-	return r.runReadStmts(ctx, stmts)
-}
-
+// runReadStmts runs a read-only script, returning the last statement's
+// result (like DB.ExecScript).
 func (r *Router) runReadStmts(ctx context.Context, stmts []bsql.Statement) (*client.Result, error) {
 	if len(stmts) == 0 {
 		return nil, fmt.Errorf("router: empty script")

@@ -132,8 +132,8 @@ func (r *Router) queryAll(ctx context.Context, text string) ([]*client.Result, e
 	return results, nil
 }
 
-// newToken mirrors the client's batch-token generation for mutating Exec
-// scripts the router converts to batches.
+// newToken generates a batch token, the way the client does, for mutating
+// Exec scripts the router converts to batches.
 func newToken() string {
 	var b [16]byte
 	_, _ = rand.Read(b[:]) // never fails (and uniqueness, not secrecy, is the need)
@@ -142,15 +142,7 @@ func newToken() string {
 
 // routeBatch splits a batch script by owning shard and commits the slices
 // in parallel under per-shard idempotency tokens.
-func (r *Router) routeBatch(ctx context.Context, script, token string) (client.BatchResult, error) {
-	stmts, err := bsql.ParseAll(script)
-	if err != nil {
-		return client.BatchResult{}, err
-	}
-	return r.routeBatchStmts(ctx, stmts, token)
-}
-
-func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, token string) (client.BatchResult, error) {
+func (r *Router) routeBatch(ctx context.Context, stmts []bsql.Statement, token string) (client.BatchResult, error) {
 	per := make([][]string, len(r.shards))
 	for _, st := range stmts {
 		switch s := st.(type) {
@@ -160,7 +152,7 @@ func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, to
 				if len(row) == 0 {
 					return client.BatchResult{}, fmt.Errorf("router: INSERT row with no values")
 				}
-				key, err := constKey(row[0])
+				key, err := bsql.ConstValue(row[0])
 				if err != nil {
 					return client.BatchResult{}, err
 				}
@@ -225,30 +217,6 @@ func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, to
 	return out, nil
 }
 
-// constKey folds an INSERT row's key expression to its constant, with the
-// same folding the batch compiler applies (bsql's constValue): the router
-// and the shard's owner check must hash identical key values.
-func constKey(e sqlparser.Expr) (val.Value, error) {
-	switch ex := e.(type) {
-	case sqlparser.Literal:
-		return ex.Val, nil
-	case sqlparser.UnaryExpr:
-		if ex.Op == "-" {
-			v, err := constKey(ex.X)
-			if err != nil {
-				return val.Null(), err
-			}
-			switch v.Kind() {
-			case val.KindInt:
-				return val.Int(-v.AsInt()), nil
-			case val.KindFloat:
-				return val.Float(-v.AsFloat()), nil
-			}
-		}
-	}
-	return val.Null(), fmt.Errorf("router: VALUES entries must be constants, got %s", e.String())
-}
-
 // sqlQuote renders a string as a BeliefSQL string literal.
 func sqlQuote(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
@@ -286,8 +254,8 @@ func (r *Router) addUser(ctx context.Context, name string) (client.UserID, error
 		}
 	}
 	if fresh == 0 {
-		// Mirror a single node's duplicate-registration error once every
-		// shard already knows the name.
+		// Refuse like a single node refuses a duplicate registration once
+		// every shard already knows the name.
 		return 0, fmt.Errorf("router: user %q already exists", name)
 	}
 	return uids[0], nil

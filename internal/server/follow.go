@@ -81,10 +81,10 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 
 	// Leave framing headroom: the payload budget bounds record bytes per
 	// WALRecs frame, the rest covers per-record prefixes and the envelope.
-	budget := s.maxFrame - s.maxFrame/4
+	budget := s.svc.MaxFrame - s.svc.MaxFrame/4
 	cursorE, cursorP := req.Epoch, req.Pos
 	idle := time.Duration(0)
-	for !s.shuttingDown() {
+	for !s.svc.ShuttingDown() {
 		epoch, committed, err := st.WALStatus()
 		if err != nil {
 			w.Write(s.errFrame(err))
@@ -169,7 +169,7 @@ func (s *Server) sendSnapshot(w *wire.Writer, bw *bufio.Writer, m *snapshot.Mode
 	if w.Write(wire.Msg{Kind: wire.KindSnapBegin, Epoch: m.WalEpoch, Pos: m.WalApplied, Affected: uint64(len(data))}) != nil {
 		return false
 	}
-	chunk := s.maxFrame - s.maxFrame/4
+	chunk := s.svc.MaxFrame - s.svc.MaxFrame/4
 	for off := 0; off < len(data); off += chunk {
 		end := min(off+chunk, len(data))
 		if w.Write(wire.Msg{Kind: wire.KindSnapChunk, Data: data[off:end]}) != nil {
@@ -183,7 +183,7 @@ func (s *Server) sendSnapshot(w *wire.Writer, bw *bufio.Writer, m *snapshot.Mode
 // whether the follow loop should continue.
 func (s *Server) sleepFollow(d time.Duration) bool {
 	select {
-	case <-s.stop:
+	case <-s.svc.Stopping():
 		return false
 	case <-time.After(d):
 		return true
@@ -324,8 +324,8 @@ func (f *Follower) followOnce() error {
 	}()
 
 	bw := bufio.NewWriter(conn)
-	w := wire.NewWriter(bw, f.srv.maxFrame)
-	r := wire.NewReader(bufio.NewReader(conn), f.srv.maxFrame)
+	w := wire.NewWriter(bw, f.srv.svc.MaxFrame)
+	r := wire.NewReader(bufio.NewReader(conn), f.srv.svc.MaxFrame)
 	// The handshake gets its own deadline: a peer that accepts but never
 	// answers (a blackholed proxy, a wedged primary) must not pin the
 	// follower here forever.

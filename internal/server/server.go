@@ -1,28 +1,15 @@
 // Package server is the network service layer of the belief database: a
 // TCP server speaking the internal/wire protocol over an embedded
-// beliefdb.DB, one goroutine per connection, with every client's batch
-// mutations funneled through the database's group-commit coalescer
-// (DB.SubmitBatch) so concurrent clients share WAL fsyncs instead of
-// paying one each.
+// beliefdb.DB, with every client's batch mutations funneled through the
+// database's group-commit coalescer (DB.SubmitBatch) so concurrent clients
+// share WAL fsyncs instead of paying one each.
 //
-// # Request handling
-//
-// A connection opens with the wire handshake (Hello/ServerHello) and then
-// carries requests answered strictly in order, so clients may pipeline.
-// Request-level failures (a bad query, a batch conflict) are answered with
-// an Error frame and the connection stays usable; protocol-level failures
-// (a torn frame, a checksum mismatch, an oversized frame, an unexpected
-// opcode) poison the stream and close the connection — after an Error
-// frame describing the reason, when the stream is still writable.
-//
-// # Shutdown ordering
-//
-// Shutdown closes the listener (no new connections), then interrupts every
-// connection's pending read; a handler mid-request finishes writing its
-// response before exiting, so no accepted request is abandoned. Only after
-// every handler has returned — or the context expires and the connections
-// are force-closed — should the caller close the DB. See the Network
-// service section of DESIGN.md.
+// The connection lifecycle — accept gate, handshake, the in-order request
+// loop, panic isolation, chunked result streaming and the Shutdown drain —
+// is internal/frontend's, shared with beliefrouter; this package supplies
+// the node's handshake answer and its per-request dispatch. The database
+// must be closed only after Shutdown returns. See the Network service
+// section of DESIGN.md.
 package server
 
 import (
@@ -31,22 +18,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"beliefdb"
+	"beliefdb/internal/frontend"
 	"beliefdb/internal/wire"
 )
 
-// RowChunkSize bounds how many result rows travel in one RowChunk frame.
-// Chunking keeps every frame small regardless of result size, so a slow
-// client never forces the server to buffer a whole result in one frame.
-// Chunks are additionally bounded by encoded bytes (see writeResult), so
-// wide rows cannot push a frame past the wire limit either.
-const RowChunkSize = 256
+// RowChunkSize bounds how many result rows travel in one RowChunk frame
+// (see frontend.RowChunkSize).
+const RowChunkSize = frontend.RowChunkSize
 
 // DefaultCommitWindow is how long the database's group-commit rounds
 // linger for more batches while a server fronts it (see
@@ -60,16 +44,17 @@ const DefaultCommitWindow = 200 * time.Microsecond
 // A Server serves the wire protocol over one belief database. Create with
 // New, start with Serve, stop with Shutdown.
 type Server struct {
+	// svc runs the connection lifecycle and carries the frame, connection
+	// and request-timeout settings.
+	svc *frontend.Service
+
 	// db is swapped atomically: a replica resyncing from a snapshot closes
 	// the old handle (which keeps serving reads) and publishes a freshly
 	// recovered one, while request handlers load whichever is current. A
 	// primary never swaps.
-	db         atomic.Pointer[beliefdb.DB]
-	maxFrame   int
-	info       string
-	window     time.Duration
-	reqTimeout time.Duration
-	logf       func(format string, args ...interface{})
+	db     atomic.Pointer[beliefdb.DB]
+	info   string
+	window time.Duration
 
 	// follower is non-nil in replica mode: the server refuses mutations,
 	// answers only read queries (against the watermark its follower has
@@ -86,21 +71,7 @@ type Server struct {
 	shardCount int
 	shardSeed  uint64
 
-	// Accept gate (WithMaxConns): a slot is taken before Accept, so past
-	// the bound the server simply stops accepting and excess clients queue
-	// in the OS listen backlog — backpressure instead of unbounded handler
-	// goroutines. nil means unbounded.
-	sem  chan struct{}
-	stop chan struct{} // closed by Shutdown; unblocks a gated accept loop
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	shutdown bool
-
 	degradedOnce sync.Once // one structured log line per degraded transition
-
-	handlers sync.WaitGroup
 }
 
 // Option configures a Server.
@@ -108,7 +79,13 @@ type Option func(*Server)
 
 // WithMaxFrame bounds the payload of a single protocol frame in both
 // directions (0 means wire.DefaultMaxFrame).
-func WithMaxFrame(n int) Option { return func(s *Server) { s.maxFrame = n } }
+func WithMaxFrame(n int) Option {
+	return func(s *Server) {
+		if n > 0 {
+			s.svc.MaxFrame = n
+		}
+	}
+}
 
 // WithInfo sets the human-readable identity sent in the handshake.
 func WithInfo(info string) Option { return func(s *Server) { s.info = info } }
@@ -121,13 +98,7 @@ func WithCommitWindow(d time.Duration) Option { return func(s *Server) { s.windo
 // At the bound the server stops accepting; excess dials queue in the OS
 // listen backlog until a slot frees, so overload degrades into latency
 // instead of goroutine growth.
-func WithMaxConns(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.sem = make(chan struct{}, n)
-		}
-	}
-}
+func WithMaxConns(n int) Option { return func(s *Server) { s.svc.MaxConns = n } }
 
 // WithRequestTimeout bounds each request: the response write carries a
 // deadline and batch commits are abandoned (from the waiting side; an
@@ -136,16 +107,16 @@ func WithMaxConns(n int) Option {
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) {
 		if d > 0 {
-			s.reqTimeout = d
+			s.svc.ReqTimeout = d
 		}
 	}
 }
 
 // WithLogger installs a Printf-style logger for the server's structured
-// one-line events (currently the degraded-mode transition). nil disables
-// logging.
+// one-line events (the degraded-mode transition, recovered panics). nil
+// disables logging.
 func WithLogger(logf func(format string, args ...interface{})) Option {
-	return func(s *Server) { s.logf = logf }
+	return func(s *Server) { s.svc.Logf = logf }
 }
 
 // WithShard declares the server to be shard id of a cluster hash-
@@ -163,13 +134,8 @@ func WithShard(id, count int, seed uint64) Option {
 // New returns a server over db and arms db's group-commit window so
 // concurrent clients' batches share WAL fsyncs.
 func New(db *beliefdb.DB, opts ...Option) *Server {
-	s := &Server{
-		maxFrame: wire.DefaultMaxFrame,
-		info:     "beliefdb",
-		window:   DefaultCommitWindow,
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
-	}
+	s := &Server{info: "beliefdb", window: DefaultCommitWindow}
+	s.svc = frontend.New(s.serveRequest)
 	s.db.Store(db)
 	for _, o := range opts {
 		o(s)
@@ -178,6 +144,12 @@ func New(db *beliefdb.DB, opts ...Option) *Server {
 		s.window = 0
 	}
 	db.SetGroupCommitWindow(s.window)
+	s.svc.Hello = wire.ServerHello(s.info)
+	if s.shardCount > 0 {
+		s.svc.Hello.ShardID = int64(s.shardID)
+		s.svc.Hello.ShardCount = uint64(s.shardCount)
+		s.svc.Hello.ShardSeed = s.shardSeed
+	}
 	return s
 }
 
@@ -191,87 +163,7 @@ func (s *Server) Replica() bool { return s.follower != nil }
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
 // or a listener failure. Each connection is handled on its own goroutine.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("server: Serve after Shutdown")
-	}
-	if s.ln != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("server: already serving")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		// The accept gate is taken before Accept: at the connection bound
-		// the loop parks here and excess dials wait in the listen backlog.
-		if s.sem != nil {
-			select {
-			case s.sem <- struct{}{}:
-			case <-s.stop:
-				return nil
-			}
-		}
-		conn, err := ln.Accept()
-		if err != nil {
-			s.releaseSlot()
-			if s.shuttingDown() {
-				return nil
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		if !s.track(conn) {
-			conn.Close() // raced Shutdown; refuse quietly
-			s.releaseSlot()
-			continue
-		}
-		go func() {
-			defer s.releaseSlot()
-			defer s.handlers.Done()
-			defer s.untrack(conn)
-			s.handle(conn)
-		}()
-	}
-}
-
-// releaseSlot returns an accept-gate slot (no-op when unbounded).
-func (s *Server) releaseSlot() {
-	if s.sem != nil {
-		<-s.sem
-	}
-}
-
-// track registers a connection and takes its handler slot in the wait
-// group. The Add happens under the same mutex that Shutdown takes before
-// waiting, so Add is strictly ordered against handlers.Wait — an Add
-// outside the lock could land while a draining Shutdown's Wait sits at
-// zero, the documented WaitGroup misuse panic.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shutdown {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	s.handlers.Add(1)
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-}
-
-func (s *Server) shuttingDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shutdown
-}
+func (s *Server) Serve(ln net.Listener) error { return s.svc.Serve(ln) }
 
 // Shutdown stops the server gracefully: close the listener, interrupt
 // every connection's pending read (a handler mid-request still writes its
@@ -285,138 +177,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// caller's subsequent DB().Close().
 		s.follower.stopFollowing()
 	}
-	s.mu.Lock()
-	if !s.shutdown {
-		close(s.stop)
-	}
-	s.shutdown = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	// Wake handlers blocked between requests: an expired read deadline
-	// fails the pending frame read, and the handler sees shutdown and
-	// exits. Handlers inside a request keep running — only their next read
-	// fails — so accepted requests drain.
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.handlers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// handle runs one connection: handshake, then the request loop. Reads and
-// writes go through bufio so a streamed response costs one syscall per
-// flush, not one per frame; every response is flushed before the next read.
-func (s *Server) handle(conn net.Conn) {
-	bw := bufio.NewWriter(conn)
-	r := wire.NewReader(bufio.NewReader(conn), s.maxFrame)
-	w := wire.NewWriter(bw, s.maxFrame)
-
-	hello, err := r.Read()
-	if err != nil {
-		s.abort(w, bw, err)
-		return
-	}
-	if hello.Kind != wire.KindHello {
-		w.Write(wire.Errorf("server: expected Hello, got %s", hello.Kind))
-		bw.Flush()
-		return
-	}
-	if hello.Version != wire.ProtoVersion {
-		w.Write(wire.Errorf("server: protocol version %d not supported (server speaks %d)",
-			hello.Version, wire.ProtoVersion))
-		bw.Flush()
-		return
-	}
-	sh := wire.ServerHello(s.info)
-	if s.shardCount > 0 {
-		sh.ShardID = int64(s.shardID)
-		sh.ShardCount = uint64(s.shardCount)
-		sh.ShardSeed = s.shardSeed
-	}
-	if err := w.Write(sh); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-
-	for {
-		req, err := r.Read()
-		if err != nil {
-			// Clean close, a poisoned stream, or the shutdown poke — none
-			// leave anything answerable.
-			s.abort(w, bw, err)
-			return
-		}
-		// A follow request dedicates the connection to streaming WAL
-		// records until the peer goes away or the server shuts down; there
-		// is no further request to read.
-		if req.Kind == wire.KindFollowWAL {
-			s.serveFollow(w, bw, req)
-			return
-		}
-		// The per-request deadline covers the whole response write: a
-		// client that stops draining cannot pin the handler forever.
-		if s.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.reqTimeout))
-		}
-		if err := s.serveRequest(w, req); err != nil {
-			// The stream is done for — but any Error frame explaining why
-			// (an unexpected opcode, a recovered panic) is still sitting in
-			// the buffer, and the promise is to describe the drop when the
-			// stream is writable.
-			bw.Flush()
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if s.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if s.shuttingDown() {
-			return // drained the request that was already in flight
-		}
-	}
-}
-
-// abort reports a protocol-level failure on the way out when the stream
-// may still be writable and the failure is worth describing (not a clean
-// EOF, not the shutdown poke).
-func (s *Server) abort(w *wire.Writer, bw *bufio.Writer, err error) {
-	if err == io.EOF || s.shuttingDown() {
-		return
-	}
-	var netErr net.Error
-	if errors.As(err, &netErr) && netErr.Timeout() {
-		return
-	}
-	w.Write(wire.Errorf("server: dropping connection: %v", err))
-	bw.Flush()
+	return s.svc.Shutdown(ctx)
 }
 
 // classify maps a request-level failure to its stable wire error code, so
@@ -451,7 +212,7 @@ func (s *Server) errFrame(err error) wire.Msg {
 // surfaces its sticky read-only state — the signal operators alert on.
 func (s *Server) noteDegraded(cause error) {
 	s.degradedOnce.Do(func() {
-		if s.logf == nil {
+		if s.svc.Logf == nil {
 			return
 		}
 		line, _ := json.Marshal(map[string]string{
@@ -459,38 +220,31 @@ func (s *Server) noteDegraded(cause error) {
 			"mode":  "read-only",
 			"cause": cause.Error(),
 		})
-		s.logf("%s", line)
+		s.svc.Logf("%s", line)
 	})
 }
 
-// serveRequest answers one request. The returned error reports a failure
-// to write the response (fatal for the connection); request-level failures
-// are answered with a coded Error frame and return nil. A panicking
-// handler is converted into an internal-error response and that
-// connection's demise — the process, and every other connection, keeps
-// serving.
 // panicHook, when non-nil, runs before each request is dispatched. It is
 // the seam the panic-isolation tests use to make a handler blow up on
 // cue; production never sets it.
 var panicHook func(req wire.Msg)
 
-func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			w.Write(wire.ErrorMsg(wire.CodeInternal, fmt.Sprintf("server: internal error serving %s: %v", req.Kind, p)))
-			err = fmt.Errorf("server: panic serving %s: %v", req.Kind, p)
-			if s.logf != nil {
-				s.logf("server: recovered panic serving %s: %v", req.Kind, p)
-			}
-		}
-	}()
+// serveRequest answers one request (the frontend.Dispatch of a server).
+// The returned error reports a failure to write the response (fatal for
+// the connection); request-level failures are answered with a coded Error
+// frame and return nil.
+func (s *Server) serveRequest(w *wire.Writer, bw *bufio.Writer, req wire.Msg) error {
 	if panicHook != nil {
 		panicHook(req)
 	}
 	db := s.DB()
 	switch req.Kind {
-	case wire.KindQuery:
-		if s.follower != nil {
+	case wire.KindQuery, wire.KindExec:
+		switch {
+		case s.follower != nil:
+			// A replica serves reads only (an Exec of a read-only script is
+			// a read wearing Exec clothing: the shell's remote path sends
+			// everything as Exec).
 			if err := s.replicaReadCheck(req); err != nil {
 				return w.Write(s.errFrame(err))
 			}
@@ -498,32 +252,10 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 			// handle is current (the superseded one still answers reads, so
 			// either is consistent — the swapped-in one is just fresher).
 			db = s.DB()
-		}
-		res, err := db.ExecScript(req.Text)
-		if err != nil {
-			return w.Write(s.errFrame(err))
-		}
-		return s.writeResult(w, res, 0, 0)
-
-	case wire.KindExec:
-		if s.follower != nil {
-			// A pure-SELECT script is a read wearing Exec clothing (the
-			// shell's remote path sends everything as Exec); serve it like
-			// a query. Anything mutating is refused.
-			if err := s.replicaReadCheck(req); err != nil {
-				return w.Write(s.errFrame(err))
-			}
-			db = s.DB() // a resync may have swapped the handle
-			res, err := db.ExecScript(req.Text)
-			if err != nil {
-				return w.Write(s.errFrame(err))
-			}
-			return s.writeResult(w, res, 0, 0)
-		}
-		if s.shardCount > 0 {
-			// Exec-path DML bypasses the per-key owner check, so a sharded
-			// server only runs read-only Exec scripts; writes go through
-			// the router's owner-checked ExecBatch path.
+		case s.shardCount > 0:
+			// Script DML bypasses the per-key owner check, so a sharded
+			// server runs only read-only scripts; writes go through the
+			// router's owner-checked ExecBatch path.
 			readOnly, err := beliefdb.ReadOnlyScript(req.Text)
 			if err != nil {
 				return w.Write(s.errFrame(err))
@@ -537,8 +269,11 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		if err != nil {
 			return w.Write(s.errFrame(err))
 		}
-		epoch, pos := position(db)
-		return s.writeResult(w, res, epoch, pos)
+		var epoch, pos uint64
+		if req.Kind == wire.KindExec && s.follower == nil {
+			epoch, pos = position(db) // an Exec may have written; ack its watermark
+		}
+		return s.svc.WriteResult(w, res, epoch, pos)
 
 	case wire.KindExecBatch:
 		if s.follower != nil {
@@ -559,9 +294,9 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		}
 		b.SetToken(req.Token)
 		ctx := context.Background()
-		if s.reqTimeout > 0 {
+		if s.svc.ReqTimeout > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
+			ctx, cancel = context.WithTimeout(ctx, s.svc.ReqTimeout)
 			defer cancel()
 		}
 		res, err := db.SubmitBatch(ctx, b)
@@ -613,6 +348,12 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 	case wire.KindPing:
 		return w.Write(wire.Msg{Kind: wire.KindPong})
 
+	case wire.KindFollowWAL:
+		// The connection now streams WAL records until the peer goes away
+		// or the server shuts down; the lifecycle reads no further request.
+		s.serveFollow(w, bw, req)
+		return nil
+
 	default:
 		// An unknown or out-of-place opcode (a response kind, a second
 		// Hello) means the peer lost the plot; answer and drop the
@@ -620,57 +361,6 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		w.Write(wire.Errorf("server: unexpected %s request", req.Kind))
 		return fmt.Errorf("server: unexpected %s request", req.Kind)
 	}
-}
-
-// writeResult streams one query result: a RowHeader and chunked rows when
-// the result has columns, then ResultEnd. Chunks are bounded both by row
-// count and by encoded bytes, so wide rows cannot grow a frame past the
-// wire limit and kill the connection mid-stream; a single row that cannot
-// fit any frame is answered with an in-stream Error (which the client
-// treats as the request's failure) instead of a dead connection.
-func (s *Server) writeResult(w *wire.Writer, res *beliefdb.Result, epoch, pos uint64) error {
-	affected := uint64(0)
-	if res != nil {
-		affected = uint64(res.Affected)
-	}
-	if res != nil && len(res.Columns) > 0 {
-		if err := w.Write(wire.Msg{Kind: wire.KindRowHeader, Cols: res.Columns}); err != nil {
-			return err
-		}
-		// Leave generous headroom under the frame limit for the chunk's
-		// own framing and count prefixes.
-		budget := s.maxFrame - s.maxFrame/8
-		start, bytes := 0, 0
-		flush := func(end int) error {
-			if end == start {
-				return nil
-			}
-			err := w.Write(wire.Msg{Kind: wire.KindRowChunk, Rows: res.Rows[start:end]})
-			start, bytes = end, 0
-			return err
-		}
-		for i, row := range res.Rows {
-			sz := wire.RowSize(row)
-			if sz > budget {
-				return w.Write(wire.Errorf("server: result row %d encodes to %d bytes, beyond the %d-byte frame limit", i, sz, s.maxFrame))
-			}
-			if bytes+sz > budget {
-				if err := flush(i); err != nil {
-					return err
-				}
-			}
-			bytes += sz
-			if i-start+1 >= RowChunkSize {
-				if err := flush(i + 1); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(len(res.Rows)); err != nil {
-			return err
-		}
-	}
-	return w.Write(wire.Msg{Kind: wire.KindResultEnd, Affected: affected, Epoch: epoch, Pos: pos})
 }
 
 // position reports the database's committed WAL position — the watermark a
@@ -694,11 +384,11 @@ func position(db *beliefdb.DB) (epoch, pos uint64) {
 var errReplicaWrite = fmt.Errorf("server: replica is read-only; write to the primary: %w", beliefdb.ErrClosed)
 
 // replicaReadCheck vets a Query against the replica contract: the script
-// must be pure SELECTs (DML applied outside the replication stream would
-// silently fork the replica from its primary), and when the request carries
-// a read-your-writes watermark the follower must have applied at least that
-// far — otherwise the refusal carries the stale-read code and the client
-// falls back to the primary.
+// must be reads only, SELECT or EXPLAIN (DML applied outside the
+// replication stream would silently fork the replica from its primary),
+// and when the request carries a read-your-writes watermark the follower
+// must have applied at least that far — otherwise the refusal carries the
+// stale-read code and the client falls back to the primary.
 func (s *Server) replicaReadCheck(req wire.Msg) error {
 	readOnly, err := beliefdb.ReadOnlyScript(req.Text)
 	if err != nil {
